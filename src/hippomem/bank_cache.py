@@ -16,20 +16,23 @@ skip the N^3-scale precomputation:
                EMKB: all P_i, then all K_i
                EMRB: all R_i, then all sample-point rows
 
-A corrupt or mismatched file is rebuilt, never trusted.
+A corrupt or mismatched file is rebuilt, never trusted. Bump `version`
+whenever the layout or the output bits of any bank builder change, so that
+files written by older code are rebuilt rather than read.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 
 from .block_kernel import BlockKernelBank, build_bank
-from .discretization import Scheme, _freeze
-from .operators import HippoOperator
+from .discretization import Scheme
+from .operators import HippoOperator, _freeze
 from .reconstruction import (
     ReconstructionBank,
     SamplingKind,
@@ -91,10 +94,16 @@ def _write(path: str, magic: bytes, order: int, block_length: int, tag: int,
     header = _HEADER.pack(magic, _VERSION, order, block_length, tag,
                           max_blocks, mem_length, decay, zlib.crc32(payload))
     data = header + payload
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # a private temp file per writer, so concurrent builders of one bank
+    # never replace each other's half-written file
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return len(data)
 
 

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    MemoryState,
-    Scheme,
-    _check_finite,
-    _freeze,
-    discretize_interval,
-    segment_coefficients,
-    transition_power,
-)
-from .operators import HippoOperator
+from .discretization import MemoryState, Scheme, _check_finite, _fold_steps
+from .operators import HippoOperator, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
 
@@ -62,12 +54,7 @@ class BlockKernelBank:
 def build_bank(
     op: HippoOperator, block_length: int, scheme: Scheme, max_blocks: int
 ) -> BlockKernelBank:
-    """Precompute P_i and K_i for every block position i = 1 .. max_blocks.
-
-    For ZOH the step products telescope: P_i is a single matrix power and the
-    kernel columns are consecutive differences of `segment_coefficients`.
-    Other schemes accumulate the per-step matrices directly.
-    """
+    """Precompute P_i and K_i for every block position i = 1 .. max_blocks."""
     if block_length < 1:
         raise ValueError(f"block_length must be >= 1, got {block_length}")
     if max_blocks < 1:
@@ -75,21 +62,9 @@ def build_bank(
     n, ell = op.order, block_length
     transitions = np.empty((max_blocks, n, n))
     kernels = np.empty((max_blocks, n, ell))
-
     for i in range(1, max_blocks + 1):
-        first, last = (i - 1) * ell + 1, i * ell
-        horizon = last + 1
-        if scheme is Scheme.ZOH:
-            transitions[i - 1] = transition_power(op, first / horizon)
-            seg = segment_coefficients(op, np.arange(first, horizon + 1) / horizon)
-            kernels[i - 1] = (seg[1:] - seg[:-1]).T
-        else:
-            prod = np.eye(n)
-            for k in range(last, first - 1, -1):
-                a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
-                kernels[i - 1][:, k - first] = prod @ b_bar
-                prod = prod @ a_bar
-            transitions[i - 1] = prod
+        transitions[i - 1], kernels[i - 1] = _fold_steps(
+            op, (i - 1) * ell + 1, i * ell, scheme)
     _check_finite(scheme, transitions, kernels)
     return BlockKernelBank(
         block_length=block_length,

@@ -46,10 +46,6 @@ class UsageError(ValueError):
     """Bad parameters; maps to exit code 2."""
 
 
-def _default_cache_dir() -> str:
-    return os.environ.get(_CACHE_ENV, os.path.join(os.getcwd(), ".bank_cache"))
-
-
 def _strategy(name: str, alpha: float) -> SamplingStrategy:
     kind = SamplingKind.parse(name)
     if kind is SamplingKind.EXPONENTIAL:
@@ -147,8 +143,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     op = build_operator(args.order)
     scheme = Scheme.parse(args.scheme)
     strategy = _strategy(args.strategy, args.alpha)
-    # without an explicit --mem-length, summarize at up to 64 points
-    mem_length = min(64, length) if "mem_length" in args.defaulted else args.mem_length
+    mem_length = min(64, length) if args.mem_length is None else args.mem_length
     if mem_length < 1:
         raise UsageError(f"--mem-length must be >= 1, got {mem_length}")
 
@@ -348,8 +343,39 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parsing
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+# Each shared flag's type and default, declared once. A --config file may
+# set any of these except an output path; its values become subparser
+# defaults, so precedence is flag > config > default.
+_OPTIONS = {
+    "order": dict(type=int, default=16, help="number of polynomial coefficients N"),
+    "block_length": dict(type=int, default=64, help="tokens per block L"),
+    "mem_length": dict(type=int, default=4, help="reconstruction rows L_mem"),
+    "scheme": dict(choices=["zoh", "forward", "backward", "bilinear"], default="zoh",
+                   help="discretization scheme"),
+    "strategy": dict(choices=["uniform", "exponential"], default="uniform",
+                     help="sampling strategy"),
+    "alpha": dict(type=float, default=DEFAULT_DECAY,
+                  help="exponential sampling decay in (0,1)"),
+    "seed": dict(type=int, default=0, help="master seed; all randomness derives from it"),
+    "seeds": dict(type=int, default=8, help="number of benchmark repetitions"),
+    "max_blocks": dict(type=int, default=8, help="bank capacity in blocks"),
+    "length": dict(type=int, default=1024, help="benchmark signal length"),
+    "heads": dict(type=int, default=2, help="attention heads"),
+    "head_dim": dict(type=int, default=16, help="per-head dimension (even)"),
+    "blocks": dict(type=int, default=4, help="number of blocks to process"),
+    "cache_dir": dict(help=f"bank cache directory (default ${_CACHE_ENV} or ./.bank_cache)"),
+    "out": dict(help="output file path"),
+    "format": dict(choices=["csv", "json"], default="csv", help="report format"),
+    "timing": dict(action="store_true",
+                   help="include measured seconds in the report "
+                        "(breaks byte-identical reruns)"),
+}
+_CONFIG_KEYS = _OPTIONS.keys() - {"out"}
+
+
+def _load_config(path: str) -> dict[str, str | bool]:
+    """key = value lines as subparser defaults; dashes in keys become underscores."""
+    values: dict[str, str | bool] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -362,97 +388,21 @@ def _load_config(path: str) -> dict[str, str]:
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
+    # a store_true flag has no type for argparse to apply to a string default
+    if "timing" in values:
+        values["timing"] = values["timing"].lower() in ("1", "true", "yes", "on")
     return values
 
 
-_HARD_DEFAULTS = {
-    "order": 16,
-    "block_length": 64,
-    "mem_length": 4,
-    "scheme": "zoh",
-    "strategy": "uniform",
-    "alpha": DEFAULT_DECAY,
-    "seed": 0,
-    "seeds": 8,
-    "max_blocks": 8,
-    "length": 1024,
-    "heads": 2,
-    "head_dim": 16,
-    "blocks": 4,
-    "format": "csv",
-    "timing": False,
-}
-
-# toy attention shapes are smaller than the bank-building defaults
-_COMMAND_DEFAULTS = {"attn-demo": {"block_length": 8}}
-
-_INT_KEYS = {"order", "block_length", "mem_length", "seed", "seeds",
-             "max_blocks", "length", "heads", "head_dim", "blocks"}
-_FLOAT_KEYS = {"alpha"}
-_BOOL_KEYS = {"timing"}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
-    return value
-
-
-def _resolve(args: argparse.Namespace, config: dict[str, str]) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from hard defaults."""
-    for key in config:
-        if key not in _HARD_DEFAULTS and key != "cache_dir":
-            raise UsageError(f"unknown config key {key!r}")
-    defaults = dict(_HARD_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS.get(args.command, {}))
-    defaulted: set[str] = set()
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            if key in config:
-                try:
-                    setattr(args, key, _coerce(key, config[key]))
-                except ValueError as exc:
-                    raise UsageError(f"config {key}={config[key]!r}: {exc}") from exc
-            else:
-                setattr(args, key, default)
-                defaulted.add(key)
-    if getattr(args, "cache_dir", None) is None and hasattr(args, "cache_dir"):
-        args.cache_dir = config.get("cache_dir", _default_cache_dir())
-    args.defaulted = defaulted
-    return args
-
-
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    opts = {
-        "order": dict(type=int, help="number of polynomial coefficients N"),
-        "block_length": dict(type=int, help="tokens per block L"),
-        "mem_length": dict(type=int, help="reconstruction rows L_mem"),
-        "scheme": dict(choices=["zoh", "forward", "backward", "bilinear"],
-                       help="discretization scheme"),
-        "strategy": dict(choices=["uniform", "exponential"],
-                         help="sampling strategy"),
-        "alpha": dict(type=float, help="exponential sampling decay in (0,1)"),
-        "seed": dict(type=int, help="master seed; all randomness derives from it"),
-        "seeds": dict(type=int, help="number of benchmark repetitions"),
-        "max_blocks": dict(type=int, help="bank capacity in blocks"),
-        "length": dict(type=int, help="benchmark signal length"),
-        "heads": dict(type=int, help="attention heads"),
-        "head_dim": dict(type=int, help="per-head dimension (even)"),
-        "blocks": dict(type=int, help="number of blocks to process"),
-        "cache_dir": dict(help=f"bank cache directory (default ${_CACHE_ENV} or ./.bank_cache)"),
-        "out": dict(help="output file path"),
-        "format": dict(choices=["csv", "json"], help="report format"),
-    }
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, default=None, **opts[name])
+        sub.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str | bool]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hippomem",
         description="Polynomial sequence compression: banks, reconstruction, "
@@ -461,24 +411,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    cache_dir = os.environ.get(_CACHE_ENV, os.path.join(os.getcwd(), ".bank_cache"))
 
     p = sub.add_parser("build-banks", help="precompute and cache bank files")
     _add_common(p, "order", "block_length", "mem_length", "scheme", "strategy",
                 "alpha", "max_blocks", "cache_dir")
-    p.set_defaults(func=_cmd_build_banks)
+    p.set_defaults(func=_cmd_build_banks, cache_dir=cache_dir)
 
     p = sub.add_parser("compress", help="compress a numeric column file and reconstruct")
     p.add_argument("input", help="text file, one row per time step")
     _add_common(p, "order", "scheme", "strategy", "alpha", "mem_length", "out")
     p.add_argument("--full-out", default=None,
                    help="also write the full-grid reconstruction here")
-    p.set_defaults(func=_cmd_compress)
+    # None: summarize at up to 64 points
+    p.set_defaults(func=_cmd_compress, mem_length=None)
 
     p = sub.add_parser("bench-table", help="reconstruction-quality table")
-    _add_common(p, "seed", "seeds", "length", "out", "format")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="include measured seconds in the report "
-                        "(breaks byte-identical reruns)")
+    _add_common(p, "seed", "seeds", "length", "out", "format", "timing")
     p.set_defaults(func=_cmd_bench_table)
 
     p = sub.add_parser("attn-demo", help="multi-block attention forward-pass demo")
@@ -488,20 +437,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="strategy used while processing blocks")
     p.add_argument("--eval-strategy", choices=["uniform", "exponential"], default=None,
                    help="strategy swapped in at retrieval time")
-    p.set_defaults(func=_cmd_attn_demo)
+    # toy attention shapes are smaller than the bank-building defaults
+    p.set_defaults(func=_cmd_attn_demo, cache_dir=cache_dir, block_length=8)
+
+    # argparse converts string defaults with each flag's own type
+    for command in sub.choices.values():
+        command.set_defaults(**config)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser({}).parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        args = _resolve(args, config)
+        if args.config:
+            args = _build_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

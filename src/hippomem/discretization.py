@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .operators import HippoOperator, legendre_table
+from .operators import HippoOperator, _freeze, legendre_table
 
 __all__ = [
     "Scheme",
@@ -58,11 +58,6 @@ class Scheme(enum.Enum):
 
 class InstabilityError(ValueError):
     """A scheme produced a non-finite entry (e.g. forward Euler blow-up)."""
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -244,6 +239,32 @@ def sequential_update(
     return MemoryState(coeffs, blocks_absorbed=state.blocks_absorbed)
 
 
+def _fold_steps(
+    op: HippoOperator, first: int, last: int, scheme: Scheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, K) for the unit steps first..last, read at horizon last + 1.
+
+    P is the ordered product of the step matrices; column k - first of K is
+    the product of the step matrices above step k times that step's input
+    vector. For ZOH the products telescope into one matrix power and
+    consecutive differences of `segment_coefficients`, and first = 0 (the
+    exact start-of-history step) is allowed. Other schemes multiply the
+    per-step matrices of `discretize_interval` and need first >= 1.
+    """
+    if scheme is Scheme.ZOH:
+        horizon = last + 1
+        transition = transition_power(op, first / horizon)
+        seg = segment_coefficients(op, np.arange(first, horizon + 1) / horizon)
+        return transition, (seg[1:] - seg[:-1]).T
+    prod = np.eye(op.order)
+    kernel = np.empty((op.order, last - first + 1))
+    for k in range(last, first - 1, -1):
+        a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
+        kernel[:, k - first] = prod @ b_bar
+        prod = prod @ a_bar
+    return prod, kernel
+
+
 def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray:
     """N x length operator mapping a whole sample sequence to its final state.
 
@@ -256,17 +277,11 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    n = op.order
     if scheme is Scheme.ZOH:
-        seg = segment_coefficients(op, np.arange(length + 1) / length)
-        kernel = (seg[1:] - seg[:-1]).T
+        _, kernel = _fold_steps(op, 0, length - 1, scheme)
     else:
-        kernel = np.empty((n, length))
-        suffix = np.eye(n)
-        for k in range(length - 1, 0, -1):
-            a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
-            kernel[:, k] = suffix @ b_bar
-            suffix = suffix @ a_bar
-        kernel[:, 0] = suffix[:, 0]  # suffix @ e0: exact first-sample absorption
+        prod, steps = _fold_steps(op, 1, length - 1, scheme)
+        # prod @ e0: exact first-sample absorption
+        kernel = np.hstack([prod[:, :1], steps])
     _check_finite(scheme, kernel)
     return kernel

@@ -45,33 +45,21 @@ def build_operator(order: int) -> HippoOperator:
     return HippoOperator(order=order, a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
-def _clamp(z: float) -> float:
-    if not -1.0 - CLAMP_TOL <= z <= 1.0 + CLAMP_TOL:
-        raise ValueError(f"Legendre argument {z} outside [-1, 1] beyond clamp tolerance")
-    return min(1.0, max(-1.0, z))
-
-
 def legendre_eval(degree: int, z: float) -> float:
-    """P_degree(z) by the Bonnet three-term recurrence."""
+    """P_degree(z): the scalar case of `legendre_table`."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    z = _clamp(float(z))
-    if degree == 0:
-        return 1.0
-    prev, cur = 1.0, z
-    for k in range(2, degree + 1):
-        prev, cur = cur, ((2 * k - 1) * z * cur - (k - 1) * prev) / k
-    return cur
+    return float(legendre_table(z, degree + 1)[0, degree])
 
 
 def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     """P_0..P_{count-1} at each of the given points, shape (len(z), count).
 
-    Same recurrence as `legendre_eval`, vectorized over points. Arguments are
-    clamped like `legendre_eval`; values outside the tolerance are rejected.
+    Bonnet three-term recurrence, vectorized over points. Arguments within
+    CLAMP_TOL of [-1, 1] are clamped; values beyond it, and NaN, are rejected.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size and (z.min() < -1.0 - CLAMP_TOL or z.max() > 1.0 + CLAMP_TOL):
+    if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
     z = np.clip(z, -1.0, 1.0)
     out = np.empty((z.size, count))

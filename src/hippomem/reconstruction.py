@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import MemoryState, _freeze
-from .operators import HippoOperator, basis_matrix
+from .discretization import MemoryState
+from .operators import HippoOperator, _freeze, basis_matrix
 
 __all__ = [
     "SamplingKind",

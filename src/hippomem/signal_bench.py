@@ -156,9 +156,8 @@ class TableRow:
     seconds: float
 
 
-def standard_rows(length: int = 1024) -> list[tuple[SignalKind, int, int, Scheme]]:
+def standard_rows() -> list[tuple[SignalKind, int, int, Scheme]]:
     """The nine benchmark rows: (kind, components, order, scheme)."""
-    del length  # row definitions are length-independent
     return [
         (SignalKind.SINE_COMPOSITE, 1, 32, Scheme.ZOH),
         (SignalKind.SINE_COMPOSITE, 3, 32, Scheme.ZOH),
@@ -189,7 +188,7 @@ def run_table(
     if seed_count < 1:
         raise ValueError("seed_count must be >= 1")
     rows: list[TableRow] = []
-    for kind, n_comp, order, scheme in standard_rows(length):
+    for kind, n_comp, order, scheme in standard_rows():
         mses = []
         elapsed = 0.0
         for rep in range(seed_count):

@@ -1,5 +1,7 @@
 """Binary bank cache files: roundtrip, checksums, rebuild on damage."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,32 @@ def test_reconstruction_cache_hit_cycle(tmp_path):
     # different parameters get a different file, not a clash
     _, _, hit3 = load_or_build_reconstruction_bank(str(tmp_path), op, EXP, 5, 8, 2)
     assert not hit3
+
+
+def test_interleaved_writers_of_one_bank_both_succeed(tmp_path, monkeypatch):
+    # force A writes, B writes and replaces, then A replaces
+    bank = build_bank(build_operator(4), 4, Scheme.ZOH, 2)
+    path = str(tmp_path / "bank.emkb")
+    real_replace = os.replace
+
+    def other_writer_first(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        write_kernel_bank(path, bank)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", other_writer_first)
+    write_kernel_bank(path, bank)
+    np.testing.assert_array_equal(read_kernel_bank(path).kernels, bank.kernels)
+    assert os.listdir(tmp_path) == ["bank.emkb"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    bank = build_bank(build_operator(4), 4, Scheme.ZOH, 2)
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_kernel_bank(str(tmp_path / "bank.emkb"), bank)
+    assert os.listdir(tmp_path) == []

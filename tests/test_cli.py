@@ -147,17 +147,39 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
     assert summary["retrievals_differ"]
 
 
-def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
+@pytest.mark.parametrize("config, argv, expected, flags, flagged_expected", [
+    # int keys, in dash and underscore spellings
+    pytest.param("order = 8\nblock-length = 16\nmax_blocks = 2\n", ["build-banks"],
+                 "N=8 L=16", ["--order", "6"], "N=6 L=16", id="int"),
+    pytest.param("order = 4\nblock_length = 4\nmax_blocks = 1\nstrategy = exponential\n"
+                 "alpha = 0.5\n", ["build-banks"],
+                 "_exponential0.5_", ["--alpha", "0.25"], "_exponential0.25_", id="float"),
+    # a falsy timing value keeps the seconds column at zero
+    pytest.param("timing = off\nseeds = 1\nlength = 256\n", ["bench-table"],
+                 ",0.000000\n", None, None, id="timing-off"),
+    # compress's own default would be 64 rows
+    pytest.param("mem_length = 5\n", ["compress", "{d}/sig.txt", "--out", "{d}/o.txt"],
+                 "wrote 5 reconstruction rows", ["--mem-length", "7"],
+                 "wrote 7 reconstruction rows", id="compress-mem-length"),
+    # attn-demo's own block length default, then a config value overriding it
+    pytest.param("blocks = 1\n", ["attn-demo"], " L=8 ", ["--block-length", "4"], " L=4 ",
+                 id="attn-default-block-length"),
+    pytest.param("blocks = 1\nblock_length = 4\n", ["attn-demo"], " L=4 ",
+                 ["--block-length", "2"], " L=2 ", id="attn-block-length"),
+])
+def test_config_file_supplies_defaults_flags_override(
+        tmp_path, capsys, config, argv, expected, flags, flagged_expected):
+    (tmp_path / "sig.txt").write_text("3.0\n" * 128)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# demo config\norder = 8\nblock-length = 16\nmax_blocks = 2\n"
-                   f"cache_dir = {tmp_path}\n")
-    code, out, _ = run_cli(["--config", str(cfg), "build-banks"], capsys)
+    cfg.write_text(f"# demo config\n{config}cache_dir = {tmp_path}\n")
+    argv = ["--config", str(cfg)] + [a.format(d=tmp_path) for a in argv]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert "N=8 L=16" in out
-    code, out, _ = run_cli(
-        ["--config", str(cfg), "build-banks", "--order", "6"], capsys)
-    assert code == 0
-    assert "N=6 L=16" in out
+    assert expected in out
+    if flags:
+        code, out, _ = run_cli(argv + flags, capsys)
+        assert code == 0
+        assert flagged_expected in out
 
 
 def test_cache_dir_env_default(tmp_path, capsys, monkeypatch):
@@ -202,3 +224,14 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path, capsys, argv_builder
     capsys.readouterr()
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     assert first == second
+
+
+def test_non_numeric_int_via_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"heads = two\ncache_dir = {tmp_path}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "attn-demo"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--heads" in captured.err and "'two'" in captured.err
+    assert captured.out == ""
