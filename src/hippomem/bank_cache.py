@@ -11,14 +11,15 @@ skip the N^3-scale precomputation:
     max_blocks u32
     mem_length u32      0 for EMKB
     decay      f64      0.0 for EMKB
-    checksum   u32      crc32 of the payload
+    checksum   u32      crc32 of the fields above, then the payload
     payload    row-major f64 matrices in index order
                EMKB: all P_i, then all K_i
                EMRB: all R_i, then all sample-point rows
 
-A corrupt or mismatched file is rebuilt, never trusted. Bump `version`
-whenever the layout or the output bits of any bank builder change, so that
-files written by older code are rebuilt rather than read.
+A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
+the header fields too, so a damaged field reads as a CacheError. Bump
+`version` whenever the layout or the output bits of any bank builder change,
+so that files written by older code are rebuilt rather than read.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIIIdI")
+_VERSION = 2
+_FIELDS = struct.Struct("<4sIIIIIId")
+_CHECKSUM = struct.Struct("<I")
 
 _SCHEME_TAGS = {
     Scheme.ZOH: 0,
@@ -91,9 +93,9 @@ def _write(path: str, magic: bytes, order: int, block_length: int, tag: int,
            payload_arrays: list[np.ndarray]) -> int:
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                        for a in payload_arrays)
-    header = _HEADER.pack(magic, _VERSION, order, block_length, tag,
-                          max_blocks, mem_length, decay, zlib.crc32(payload))
-    data = header + payload
+    fields = _FIELDS.pack(magic, _VERSION, order, block_length, tag,
+                          max_blocks, mem_length, decay)
+    data = fields + _CHECKSUM.pack(zlib.crc32(payload, zlib.crc32(fields))) + payload
     # a private temp file per writer, so concurrent builders of one bank
     # never replace each other's half-written file
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -113,17 +115,18 @@ def _read(path: str, magic: bytes) -> tuple[tuple, np.ndarray]:
             data = fh.read()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    if len(data) < _HEADER.size:
+    start = _FIELDS.size + _CHECKSUM.size
+    if len(data) < start:
         raise CacheError(f"cache file {path} truncated")
-    fields = _HEADER.unpack_from(data)
+    fields = _FIELDS.unpack_from(data)
     if fields[0] != magic:
         raise CacheError(f"cache file {path} has wrong magic {fields[0]!r}")
     if fields[1] != _VERSION:
         raise CacheError(f"cache file {path} has unsupported version {fields[1]}")
-    payload = data[_HEADER.size:]
-    if zlib.crc32(payload) != fields[8]:
+    (checksum,) = _CHECKSUM.unpack_from(data, _FIELDS.size)
+    if zlib.crc32(data[start:], zlib.crc32(data[:_FIELDS.size])) != checksum:
         raise CacheError(f"cache file {path} failed its checksum")
-    return fields, np.frombuffer(payload, dtype="<f8")
+    return fields, np.frombuffer(data, dtype="<f8", offset=start)
 
 
 def write_kernel_bank(path: str, bank: BlockKernelBank) -> int:
@@ -135,7 +138,7 @@ def write_kernel_bank(path: str, bank: BlockKernelBank) -> int:
 
 def read_kernel_bank(path: str) -> BlockKernelBank:
     fields, flat = _read(path, _MAGIC_KERNEL)
-    _, _, order, block_length, tag, max_blocks, _, _, _ = fields
+    _, _, order, block_length, tag, max_blocks, _, _ = fields
     if tag not in _SCHEME_FROM_TAG:
         raise CacheError(f"cache file {path} has unknown scheme tag {tag}")
     n_trans = max_blocks * order * order
@@ -164,7 +167,7 @@ def write_reconstruction_bank(path: str, bank: ReconstructionBank) -> int:
 
 def read_reconstruction_bank(path: str) -> ReconstructionBank:
     fields, flat = _read(path, _MAGIC_RECON)
-    _, _, order, block_length, tag, max_blocks, mem_length, decay, _ = fields
+    _, _, order, block_length, tag, max_blocks, mem_length, decay = fields
     if tag not in _STRATEGY_FROM_TAG:
         raise CacheError(f"cache file {path} has unknown strategy tag {tag}")
     kind = _STRATEGY_FROM_TAG[tag]

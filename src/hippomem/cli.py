@@ -40,6 +40,8 @@ from .reconstruction import (
 from .signal_bench import rows_to_csv, rows_to_json, run_table
 
 _CACHE_ENV = "EMK_CACHE_DIR"
+_SCHEMES = [s.value for s in Scheme]
+_STRATEGIES = [k.value for k in SamplingKind]
 
 
 class UsageError(ValueError):
@@ -350,10 +352,8 @@ _OPTIONS = {
     "order": dict(type=int, default=16, help="number of polynomial coefficients N"),
     "block_length": dict(type=int, default=64, help="tokens per block L"),
     "mem_length": dict(type=int, default=4, help="reconstruction rows L_mem"),
-    "scheme": dict(choices=["zoh", "forward", "backward", "bilinear"], default="zoh",
-                   help="discretization scheme"),
-    "strategy": dict(choices=["uniform", "exponential"], default="uniform",
-                     help="sampling strategy"),
+    "scheme": dict(choices=_SCHEMES, default="zoh", help="discretization scheme"),
+    "strategy": dict(choices=_STRATEGIES, default="uniform", help="sampling strategy"),
     "alpha": dict(type=float, default=DEFAULT_DECAY,
                   help="exponential sampling decay in (0,1)"),
     "seed": dict(type=int, default=0, help="master seed; all randomness derives from it"),
@@ -433,9 +433,9 @@ def _build_parser(config: dict[str, str | bool]) -> argparse.ArgumentParser:
     p = sub.add_parser("attn-demo", help="multi-block attention forward-pass demo")
     _add_common(p, "order", "block_length", "mem_length", "scheme", "strategy",
                 "alpha", "seed", "heads", "head_dim", "blocks", "cache_dir", "out")
-    p.add_argument("--train-strategy", choices=["uniform", "exponential"], default=None,
+    p.add_argument("--train-strategy", choices=_STRATEGIES, default=None,
                    help="strategy used while processing blocks")
-    p.add_argument("--eval-strategy", choices=["uniform", "exponential"], default=None,
+    p.add_argument("--eval-strategy", choices=_STRATEGIES, default=None,
                    help="strategy swapped in at retrieval time")
     # toy attention shapes are smaller than the bank-building defaults
     p.set_defaults(func=_cmd_attn_demo, cache_dir=cache_dir, block_length=8)

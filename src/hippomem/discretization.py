@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .operators import HippoOperator, _freeze, legendre_table
 
@@ -181,6 +180,8 @@ def discretize_interval(
         raise ValueError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     if t_start < 0:
         raise ValueError(f"t_start must be >= 0, got {t_start}")
+    if t_start == 0 and scheme in (Scheme.FORWARD_EULER, Scheme.BILINEAR):
+        raise ValueError(f"{scheme.value} discretization is singular at t = 0")
     a, b = op.a_matrix, op.b_vector
     n = op.order
     eye = np.eye(n)
@@ -189,24 +190,21 @@ def discretize_interval(
     # overflow is surfaced by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme is Scheme.ZOH:
-            a_bar = transition_power(op, t_start / t_end)
-            b_bar = solve_triangular(a, (eye - a_bar) @ b, lower=True)
+            # the single-step case of _fold_steps: a segment-coefficient difference
+            ratio = t_start / t_end
+            a_bar = transition_power(op, ratio)
+            seg = segment_coefficients(op, np.array([ratio, 1.0]))
+            b_bar = seg[1] - seg[0]
         elif scheme is Scheme.FORWARD_EULER:
-            if t_start == 0:
-                raise ValueError("forward Euler is singular at t = 0")
             a_bar = eye - (delta / t_start) * a
             b_bar = (delta / t_start) * b
-        elif scheme is Scheme.BACKWARD_EULER:
-            lhs = eye + (delta / t_end) * a
-            a_bar = solve_triangular(lhs, eye, lower=True)
-            b_bar = solve_triangular(lhs, (delta / t_end) * b, lower=True)
-        elif scheme is Scheme.BILINEAR:
-            if t_start == 0:
-                raise ValueError("bilinear is singular at t = 0")
-            half = delta / (2.0 * t_start)
-            lhs = eye + half * a
-            a_bar = solve_triangular(lhs, eye - half * a, lower=True)
-            b_bar = solve_triangular(lhs, (delta / t_start) * b, lower=True)
+        elif scheme in (Scheme.BACKWARD_EULER, Scheme.BILINEAR):
+            # (I + w h A) [Abar | Bbar] = [I - (1 - w) h A | h B]
+            w, h = ((1.0, delta / t_end) if scheme is Scheme.BACKWARD_EULER
+                    else (0.5, delta / t_start))
+            rhs = np.column_stack([eye - (1.0 - w) * h * a, h * b])
+            solved = np.linalg.solve(eye + w * h * a, rhs)
+            a_bar, b_bar = solved[:, :n], solved[:, n]
         else:  # pragma: no cover
             raise ValueError(f"unhandled scheme {scheme}")
 

@@ -82,7 +82,6 @@ class BenchResult:
     spec: SignalSpec
     hippo_order: int
     scheme: Scheme
-    sample_length: int
     mse: float
     wall_time: float
 
@@ -138,7 +137,6 @@ def run_benchmark(spec: SignalSpec, order: int, scheme: Scheme) -> BenchResult:
         spec=spec,
         hippo_order=order,
         scheme=scheme,
-        sample_length=spec.length,
         mse=mse,
         wall_time=time.perf_counter() - started,
     )

@@ -1,6 +1,8 @@
 """Binary bank cache files: roundtrip, checksums, rebuild on damage."""
 
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from hippomem.bank_cache import (
 )
 
 EXP = SamplingStrategy(SamplingKind.EXPONENTIAL, 0.875)
+UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
+# byte offsets of header fields (see the bank_cache layout)
+_VERSION_AT, _TAG_AT, _DECAY_AT = 4, 16, 28
 
 
 def test_kernel_bank_roundtrip(tmp_path):
@@ -67,25 +72,56 @@ def test_magic_mismatch_rejected(tmp_path):
         read_reconstruction_bank(str(path))
 
 
-def test_corruption_detected_and_rebuilt(tmp_path):
+def _load_or_build(cache_dir, strategy):
+    """(bank arrays, path, hit): a kernel bank, or a reconstruction bank for a strategy."""
     op = build_operator(4)
-    _, path, hit = load_or_build_kernel_bank(str(tmp_path), op, 3, Scheme.ZOH, 2)
-    assert not hit
-    _, _, hit = load_or_build_kernel_bank(str(tmp_path), op, 3, Scheme.ZOH, 2)
-    assert hit
-    # flip one payload byte: checksum must catch it and trigger a rebuild
-    blob = bytearray(open(path, "rb").read())
+    if strategy is None:
+        bank, path, hit = load_or_build_kernel_bank(str(cache_dir), op, 3, Scheme.ZOH, 2)
+        return bank.kernels, path, hit
+    bank, path, hit = load_or_build_reconstruction_bank(str(cache_dir), op, strategy, 4, 8, 2)
+    return bank.matrices, path, hit
+
+
+def _flip_last_byte(blob):
     blob[-1] ^= 0xFF
+
+
+@pytest.mark.parametrize("strategy, damage", [
+    pytest.param(None, _flip_last_byte, id="payload"),
+    pytest.param(EXP, lambda b: struct.pack_into("<d", b, _DECAY_AT, 1.5), id="decay-1.5"),
+    pytest.param(EXP, lambda b: struct.pack_into("<d", b, _DECAY_AT, math.nan), id="decay-nan"),
+    pytest.param(UNIFORM, lambda b: struct.pack_into("<I", b, _TAG_AT, 1),
+                 id="uniform-tag-to-exponential"),
+])
+def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
+    built, path, hit = _load_or_build(tmp_path, strategy)
+    assert not hit
+    _, _, hit = _load_or_build(tmp_path, strategy)
+    assert hit
+    # damage one field or byte: the checksum must catch it and trigger a rebuild
+    blob = bytearray(open(path, "rb").read())
+    damage(blob)
     with open(path, "wb") as fh:
         fh.write(blob)
     with pytest.raises(CacheError):
-        read_kernel_bank(path)
-    bank, _, hit = load_or_build_kernel_bank(str(tmp_path), op, 3, Scheme.ZOH, 2)
+        (read_kernel_bank if strategy is None else read_reconstruction_bank)(path)
+    rebuilt, _, hit = _load_or_build(tmp_path, strategy)
     assert not hit
-    reference = build_bank(op, 3, Scheme.ZOH, 2)
-    np.testing.assert_array_equal(bank.kernels, reference.kernels)
+    np.testing.assert_array_equal(rebuilt, built)
     # the rebuilt file is valid again
-    _, _, hit = load_or_build_kernel_bank(str(tmp_path), op, 3, Scheme.ZOH, 2)
+    _, _, hit = _load_or_build(tmp_path, strategy)
+    assert hit
+
+
+def test_older_version_is_rebuilt(tmp_path):
+    _, path, _ = _load_or_build(tmp_path, None)
+    blob = bytearray(open(path, "rb").read())
+    struct.pack_into("<I", blob, _VERSION_AT, 1)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    _, _, hit = _load_or_build(tmp_path, None)
+    assert not hit
+    _, _, hit = _load_or_build(tmp_path, None)
     assert hit
 
 

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, validation, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,10 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
                  id="attn-default-block-length"),
     pytest.param("blocks = 1\nblock_length = 4\n", ["attn-demo"], " L=4 ",
                  ["--block-length", "2"], " L=2 ", id="attn-block-length"),
+    # config values go through Scheme.parse, which folds case; flags must be lower case
+    pytest.param("order = 4\nblock_length = 4\nmax_blocks = 1\nscheme = ZOH\n",
+                 ["build-banks"], "_zoh_", ["--scheme", "bilinear"], "_bilinear_",
+                 id="scheme-case-folded"),
 ])
 def test_config_file_supplies_defaults_flags_override(
         tmp_path, capsys, config, argv, expected, flags, flagged_expected):
@@ -235,3 +243,32 @@ def test_non_numeric_int_via_config_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--heads" in captured.err and "'two'" in captured.err
     assert captured.out == ""
+
+
+_WITHOUT_SCIPY = """
+import sys
+import hippomem.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+sys.modules["scipy"] = None          # any later scipy import fails
+d = sys.argv[1]
+with open(d + "/sig.txt", "w") as fh:
+    fh.write("0.5\\n1.0\\n0.25\\n")
+for argv in (
+    ["build-banks", "--order", "4", "--block-length", "4", "--max-blocks", "2",
+     "--scheme", "bilinear", "--cache-dir", d],
+    ["compress", d + "/sig.txt", "--order", "4", "--scheme", "backward"],
+    ["bench-table", "--seeds", "1", "--length", "64"],
+    ["attn-demo", "--blocks", "2", "--cache-dir", d],
+):
+    assert hippomem.cli.main(argv) == 0, argv
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

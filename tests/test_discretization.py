@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -50,26 +51,32 @@ def test_zoh_diagonal_invariant(order, k):
     assert np.abs(np.diag(step.a_bar) - expected).max() < 1e-10
 
 
-def test_bilinear_against_dense_solve_oracle():
-    # independent oracle: explicit dense inverse of (I + A/(2t)) at t = 2
-    op = build_operator(4)
-    step = discretize_step(op, 2, Scheme.BILINEAR)
+@pytest.mark.parametrize("order", [4, 32, 128])
+@pytest.mark.parametrize("k", [1, 2, 1000])
+def test_bilinear_against_dense_solve_oracle(order, k):
+    # independent oracle: explicit dense inverse of (I + A/(2k)) over [k, k+1]
+    op = build_operator(order)
+    step = discretize_step(op, k, Scheme.BILINEAR)
     a, b = op.a_matrix, op.b_vector
-    lhs_inv = np.linalg.inv(np.eye(4) + a / 4.0)
-    np.testing.assert_allclose(step.a_bar, lhs_inv @ (np.eye(4) - a / 4.0), atol=1e-10)
-    np.testing.assert_allclose(step.b_bar, lhs_inv @ (b / 2.0), atol=1e-10)
+    eye = np.eye(order)
+    lhs_inv = np.linalg.inv(eye + a / (2.0 * k))
+    np.testing.assert_allclose(step.a_bar, lhs_inv @ (eye - a / (2.0 * k)), atol=1e-10)
+    np.testing.assert_allclose(step.b_bar, lhs_inv @ (b / k), atol=1e-10)
 
 
-def test_forward_and_backward_forms():
-    op = build_operator(3)
+@pytest.mark.parametrize("order", [4, 32, 128])
+@pytest.mark.parametrize("k", [1, 2, 1000])
+def test_forward_and_backward_forms(order, k):
+    op = build_operator(order)
     a, b = op.a_matrix, op.b_vector
-    fwd = discretize_step(op, 5, Scheme.FORWARD_EULER)
-    np.testing.assert_allclose(fwd.a_bar, np.eye(3) - a / 5.0, atol=1e-14)
-    np.testing.assert_allclose(fwd.b_bar, b / 5.0, atol=1e-14)
-    bwd = discretize_step(op, 5, Scheme.BACKWARD_EULER)
-    lhs_inv = np.linalg.inv(np.eye(3) + a / 6.0)
+    eye = np.eye(order)
+    fwd = discretize_step(op, k, Scheme.FORWARD_EULER)
+    np.testing.assert_allclose(fwd.a_bar, eye - a / k, atol=1e-14)
+    np.testing.assert_allclose(fwd.b_bar, b / k, atol=1e-14)
+    bwd = discretize_step(op, k, Scheme.BACKWARD_EULER)
+    lhs_inv = np.linalg.inv(eye + a / (k + 1))
     np.testing.assert_allclose(bwd.a_bar, lhs_inv, atol=1e-12)
-    np.testing.assert_allclose(bwd.b_bar, lhs_inv @ (b / 6.0), atol=1e-12)
+    np.testing.assert_allclose(bwd.b_bar, lhs_inv @ (b / (k + 1)), atol=1e-12)
 
 
 def test_rejects_step_zero():
@@ -96,15 +103,21 @@ def test_transition_power_limits():
         transition_power(op, 1.5)
 
 
-def test_zoh_input_vector_closed_form():
-    # Bbar_k = e0 - psi(k/(k+1)), with psi the indicator-projection coefficients
-    op = build_operator(12)
-    for k in (1, 3, 40):
-        step = discretize_step(op, k, Scheme.ZOH)
-        psi = segment_coefficients(op, np.array([k / (k + 1)]))[0]
-        e0 = np.zeros(12)
-        e0[0] = 1.0
-        assert np.abs(step.b_bar - (e0 - psi)).max() < 1e-13
+@pytest.mark.parametrize("order", [12, 128])
+@pytest.mark.parametrize("k", [1, 17, 1000])
+def test_zoh_input_vector_closed_form(order, k):
+    # Bbar_k projects the indicator of [r, 1], r = k/(k+1): entry n is
+    # int_r^1 sqrt(2n+1) P_n(2x-1) dx, i.e. 1 - r for n = 0 and
+    # (P_{n-1}(2r-1) - P_{n+1}(2r-1)) / (2 sqrt(2n+1)) above, here in 50 digits
+    step = discretize_step(build_operator(order), k, Scheme.ZOH)
+    with mpmath.workdps(50):
+        r = mpmath.mpf(k) / (k + 1)
+        x = 2 * r - 1
+        oracle = [float(1 - r)] + [
+            float((mpmath.legendre(n - 1, x) - mpmath.legendre(n + 1, x))
+                  / (2 * mpmath.sqrt(2 * n + 1)))
+            for n in range(1, order)]
+    np.testing.assert_allclose(step.b_bar, oracle, rtol=0, atol=1e-14)
 
 
 def test_segment_coefficients_against_quadrature():
