@@ -55,7 +55,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 2
+_VERSION = 3
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 

@@ -62,9 +62,7 @@ def build_bank(
     n, ell = op.order, block_length
     transitions = np.empty((max_blocks, n, n))
     kernels = np.empty((max_blocks, n, ell))
-    for i in range(1, max_blocks + 1):
-        transitions[i - 1], kernels[i - 1] = _fold_steps(
-            op, (i - 1) * ell + 1, i * ell, scheme)
+    _fold_steps(op, scheme, transitions, kernels)
     _check_finite(scheme, transitions, kernels)
     return BlockKernelBank(
         block_length=block_length,

@@ -237,30 +237,108 @@ def sequential_update(
     return MemoryState(coeffs, blocks_absorbed=state.blocks_absorbed)
 
 
-def _fold_steps(
-    op: HippoOperator, first: int, last: int, scheme: Scheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, K) for the unit steps first..last, read at horizon last + 1.
+# Unit steps per chunk in `_fold_steps`. The chunk stack holds
+# CHUNK x N x N floats (0.5 MB at N = 32); a larger chunk adds to peak RSS
+# and saves only per-row call overhead in `_build_steps`.
+_CHUNK_STEPS = 64
 
-    P is the ordered product of the step matrices; column k - first of K is
-    the product of the step matrices above step k times that step's input
-    vector. For ZOH the products telescope into one matrix power and
-    consecutive differences of `segment_coefficients`, and first = 0 (the
-    exact start-of-history step) is allowed. Other schemes multiply the
-    per-step matrices of `discretize_interval` and need first >= 1.
+
+def _build_steps(
+    op: HippoOperator, k: np.ndarray, scheme: Scheme,
+    a_bars: np.ndarray, b_bars: np.ndarray,
+) -> None:
+    """Fill a_bars[j], b_bars[j] with the non-ZOH step matrices of step k[j].
+
+    Forward Euler is the per-element arithmetic of `discretize_interval`,
+    broadcast over the steps. Backward Euler and bilinear solve
+    M X = [I | B] with M = I + c A by forward substitution over the rows,
+    vectorised over the steps and the N + 1 columns: the LegS A is diag(n+1)
+    plus the strict lower triangle of s s^T with s = B, so
+    x_n = (y_n - c s_n sum_{m<n} s_m x_m) / (1 + c (n+1)), and a running sum
+    makes each step O(N^2). Backward Euler (c = h) takes Abar = M^-1;
+    bilinear (c = h/2) takes Abar = 2 M^-1 - I, which equals M^-1 (I - c A).
+    Both take Bbar = h M^-1 B.
     """
+    a, s = op.a_matrix, op.b_vector
+    n = op.order
+    # overflow is surfaced by the finiteness check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme is Scheme.FORWARD_EULER:
+            h = 1.0 / k
+            np.multiply(h[:, None, None], a, out=a_bars)
+            np.subtract(np.eye(n), a_bars, out=a_bars)
+            np.multiply(h[:, None], s, out=b_bars)
+        elif scheme in (Scheme.BACKWARD_EULER, Scheme.BILINEAR):
+            backward = scheme is Scheme.BACKWARD_EULER
+            h = 1.0 / (k + 1.0) if backward else 1.0 / k
+            c = h if backward else 0.5 * h
+            neg_cs = -c[:, None] * s
+            diag = 1.0 + c[:, None] * np.arange(1.0, n + 1.0)
+            rhs = np.column_stack([np.eye(n), s])
+            total = np.zeros((k.size, n + 1))
+            x = np.empty((k.size, n + 1))
+            for row in range(n):
+                np.multiply(total, neg_cs[:, row, None], out=x)
+                x += rhs[row]
+                x /= diag[:, row, None]
+                a_bars[:, row] = x[:, :n]
+                b_bars[:, row] = x[:, n]
+                total += s[row] * x
+            if not backward:
+                a_bars *= 2.0
+                a_bars -= np.eye(n)
+            b_bars *= h[:, None]
+        else:  # pragma: no cover
+            raise ValueError(f"unhandled scheme {scheme}")
+    _check_finite(scheme, a_bars, b_bars)
+
+
+def _fold_steps(
+    op: HippoOperator, scheme: Scheme, transitions: np.ndarray, kernels: np.ndarray
+) -> None:
+    """Fill (P_i, K_i) for consecutive blocks of unit steps from step 1 on.
+
+    transitions is (blocks, N, N) and kernels is (blocks, N, L); block i
+    (0-based) covers steps i L + 1 .. (i + 1) L and is read at horizon
+    (i + 1) L + 1. P_i is the ordered product of the block's step matrices;
+    column j of K_i is the product of the block's step matrices above its
+    step j times that step's input vector.
+
+    For ZOH the products telescope into one matrix power and consecutive
+    differences of `segment_coefficients` per block.
+
+    Other schemes walk all the steps from the last down to step 1 in chunks
+    of `_CHUNK_STEPS`, across block boundaries, so short blocks share one
+    vectorised build. `_build_steps` fills the chunk's step matrices in
+    place, backward Euler and bilinear by an O(N^2) structured solve instead
+    of a dense O(N^3) one; then the sequential suffix-product loop multiplies
+    them in. The chunk stack is allocated once and kept small, because it
+    adds directly to peak RSS; no (steps, N, N) array is ever built.
+    """
+    blocks, n, ell = kernels.shape
     if scheme is Scheme.ZOH:
-        horizon = last + 1
-        transition = transition_power(op, first / horizon)
-        seg = segment_coefficients(op, np.arange(first, horizon + 1) / horizon)
-        return transition, (seg[1:] - seg[:-1]).T
-    prod = np.eye(op.order)
-    kernel = np.empty((op.order, last - first + 1))
-    for k in range(last, first - 1, -1):
-        a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
-        kernel[:, k - first] = prod @ b_bar
-        prod = prod @ a_bar
-    return prod, kernel
+        for i in range(blocks):
+            start, horizon = i * ell + 1, (i + 1) * ell + 1
+            transitions[i] = transition_power(op, start / horizon)
+            seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
+            np.subtract(seg[1:], seg[:-1], out=kernels[i].T)
+        return
+    transitions[:] = np.eye(n)  # the empty product, kept when L = 0
+    size = min(_CHUNK_STEPS, blocks * ell)
+    a_bars, b_bars = np.empty((size, n, n)), np.empty((size, n))
+    for top in range(blocks * ell, 0, -_CHUNK_STEPS):
+        bottom = max(1, top - _CHUNK_STEPS + 1)
+        count = top - bottom + 1
+        _build_steps(op, np.arange(bottom, top + 1, dtype=float), scheme,
+                     a_bars[:count], b_bars[:count])
+        for j in range(count - 1, -1, -1):
+            block, col = divmod(bottom + j - 1, ell)
+            if col == ell - 1:
+                prod = np.eye(n)
+            kernels[block, :, col] = prod @ b_bars[j]
+            prod = prod @ a_bars[j]
+            if col == 0:
+                transitions[block] = prod
 
 
 def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray:
@@ -276,10 +354,13 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if scheme is Scheme.ZOH:
-        _, kernel = _fold_steps(op, 0, length - 1, scheme)
+        seg = segment_coefficients(op, np.arange(length + 1) / length)
+        kernel = (seg[1:] - seg[:-1]).T
     else:
-        prod, steps = _fold_steps(op, 1, length - 1, scheme)
-        # prod @ e0: exact first-sample absorption
-        kernel = np.hstack([prod[:, :1], steps])
+        n = op.order
+        kernel = np.empty((n, length))
+        prod = np.empty((1, n, n))
+        _fold_steps(op, scheme, prod, kernel[None, :, 1:])
+        kernel[:, 0] = prod[0, :, 0]  # prod @ e0: exact first-sample absorption
     _check_finite(scheme, kernel)
     return kernel

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hippomem.bank_cache import (
 EXP = SamplingStrategy(SamplingKind.EXPONENTIAL, 0.875)
 UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
 # byte offsets of header fields (see the bank_cache layout)
-_VERSION_AT, _TAG_AT, _DECAY_AT = 4, 16, 28
+_VERSION_AT, _TAG_AT, _DECAY_AT, _CHECKSUM_AT = 4, 16, 28, 36
 
 
 def test_kernel_bank_roundtrip(tmp_path):
@@ -115,14 +116,19 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
 
 def test_older_version_is_rebuilt(tmp_path):
     _, path, _ = _load_or_build(tmp_path, None)
-    blob = bytearray(open(path, "rb").read())
-    struct.pack_into("<I", blob, _VERSION_AT, 1)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    _, _, hit = _load_or_build(tmp_path, None)
-    assert not hit
-    _, _, hit = _load_or_build(tmp_path, None)
-    assert hit
+    for version in (1, 2):
+        # an intact file of an older version: only the version check can reject it
+        blob = bytearray(open(path, "rb").read())
+        struct.pack_into("<I", blob, _VERSION_AT, version)
+        payload_at = _CHECKSUM_AT + 4
+        struct.pack_into("<I", blob, _CHECKSUM_AT,
+                         zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        _, _, hit = _load_or_build(tmp_path, None)
+        assert not hit
+        _, _, hit = _load_or_build(tmp_path, None)
+        assert hit
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -10,10 +10,14 @@ from hippomem import (
     build_bank,
     build_operator,
     discretize_step,
+    history_kernel,
     sequential_update,
     zero_state,
 )
+from hippomem.discretization import _CHUNK_STEPS
 from hippomem.rng import normals, derive
+
+NON_ZOH = [Scheme.FORWARD_EULER, Scheme.BACKWARD_EULER, Scheme.BILINEAR]
 
 
 def brute_force_block(op, first: int, last: int, scheme: Scheme):
@@ -59,7 +63,8 @@ def test_second_block_diagonal_telescopes():
     assert np.abs(bank.kernel(2) - kernel).max() < 1e-10
 
 
-@pytest.mark.parametrize("scheme", [Scheme.ZOH, Scheme.BILINEAR, Scheme.BACKWARD_EULER])
+@pytest.mark.parametrize("scheme", [Scheme.ZOH, Scheme.BILINEAR, Scheme.BACKWARD_EULER,
+                                    Scheme.FORWARD_EULER])
 def test_bank_matches_brute_force(scheme):
     op = build_operator(6)
     ell = 5
@@ -68,6 +73,32 @@ def test_bank_matches_brute_force(scheme):
         prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
         assert np.abs(bank.transition(i) - prod).max() < 1e-9
         assert np.abs(bank.kernel(i) - kernel).max() < 1e-9
+
+
+@pytest.mark.parametrize("scheme", NON_ZOH)
+def test_bank_blocks_longer_than_a_chunk(scheme):
+    # blocks straddle chunk boundaries, and the last chunk is a remainder
+    op = build_operator(6)
+    ell = 2 * _CHUNK_STEPS + 5
+    bank = build_bank(op, ell, scheme, 2)
+    for i in (1, 2):
+        prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
+        assert np.abs(bank.transition(i) - prod).max() < 1e-12
+        assert np.abs(bank.kernel(i) - kernel).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", [4, 32, 128])
+@pytest.mark.parametrize("scheme", NON_ZOH)
+@pytest.mark.parametrize("length", [1, 3 * _CHUNK_STEPS + 17])
+def test_history_kernel_matches_composed_steps(order, scheme, length):
+    # column 0 is the exact first-sample absorption: the product of steps 1..T-1 times e0.
+    # Forward Euler at N=128 has not decayed by this T (|K| ~ 1e16), hence the relative bound.
+    op = build_operator(order)
+    prod, kernel = brute_force_block(op, 1, length - 1, scheme)
+    expected = np.hstack([prod[:, :1], kernel])
+    got = history_kernel(op, length, scheme)
+    assert got.shape == (order, length)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_bank_rejects_bad_parameters():
