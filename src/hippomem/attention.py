@@ -148,20 +148,22 @@ def build_trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
 def apply_rotary(mat: np.ndarray, start_position: int, base: float) -> np.ndarray:
     """Rotate each (2i, 2i+1) pair of every row by position * base**(-2i/D).
 
-    Rows get absolute positions start_position, start_position + 1, ...;
-    pure rotation, so pairwise norms are preserved.
+    mat is (..., L, D): rows get absolute positions start_position,
+    start_position + 1, ... along the L axis, and the angles are computed
+    once and broadcast over any leading (e.g. head) axes. Pure rotation, so
+    pairwise norms are preserved. The result is C-contiguous.
     """
     mat = np.asarray(mat, dtype=float)
-    length, dim = mat.shape
+    length, dim = mat.shape[-2:]
     if dim % 2:
         raise ValueError(f"rotary encoding needs an even dimension, got {dim}")
     freqs = base ** (-np.arange(0, dim, 2, dtype=float) / dim)
     angles = (start_position + np.arange(length, dtype=float))[:, None] * freqs[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = mat[:, 0::2], mat[:, 1::2]
-    out = np.empty_like(mat)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    even, odd = mat[..., 0::2], mat[..., 1::2]
+    out = np.empty(mat.shape)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 
@@ -203,14 +205,8 @@ def forward_block(
     v_curr = hidden @ weights.w_value
 
     start = (io.block_index - 1) * ell
-    q_heads = np.stack([
-        apply_rotary(part, start, cfg.rope_base)
-        for part in _heads(q_raw, h, dh)
-    ])
-    k_heads = np.stack([
-        apply_rotary(part, start, cfg.rope_base)
-        for part in _heads(k_raw, h, dh)
-    ])
+    q_heads = apply_rotary(_heads(q_raw, h, dh), start, cfg.rope_base)
+    k_heads = apply_rotary(_heads(k_raw, h, dh), start, cfg.rope_base)
     v_heads = _heads(v_curr, h, dh)
 
     if use_memory:

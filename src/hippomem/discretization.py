@@ -128,16 +128,33 @@ def transition_power(op: HippoOperator, ratio: float) -> np.ndarray:
         return np.zeros((n, n))
     if ratio == 1.0:
         return np.eye(n)
+    power = np.empty((1, n, n))
+    _transition_powers(op, np.array([ratio], dtype=float), power)
+    return power[0]
+
+
+def _transition_powers(op: HippoOperator, ratios: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[j] with ratios[j]**A for ratios strictly inside (0, 1).
+
+    The quadrature of `transition_power`, with one `legendre_table` call per
+    node table for all the ratios; each out[j] has the bits a one-ratio call
+    gives.
+    """
+    n = op.order
     nodes, weights = _gauss_nodes(n + 2)
-    x = ratio * (nodes + 1.0) / 2.0
-    wx = weights * ratio / 2.0
-    inner = legendre_table(2.0 * x / ratio - 1.0, n)      # g_m support, rescaled
-    outer = legendre_table(2.0 * x - 1.0, n)              # g_n on the unit horizon
-    sq = op.b_vector                                      # sqrt(2n+1)
-    power = (outer * wx[:, None]).T @ inner * np.outer(sq, sq)
-    # diagonal is analytically ratio**(n+1); pin it to kill quadrature roundoff
-    np.fill_diagonal(power, ratio ** (np.arange(n) + 1.0))
-    return power
+    r = ratios[:, None]
+    x = r * (nodes + 1.0) / 2.0
+    wx = weights * r / 2.0
+    inner = legendre_table(2.0 * x / r - 1.0, n)      # g_m support, rescaled
+    outer = legendre_table(2.0 * x - 1.0, n)          # g_n on the unit horizon
+    sq = op.b_vector                                  # sqrt(2n+1)
+    scale = np.outer(sq, sq)
+    exponents = np.arange(n) + 1.0
+    for j, ratio in enumerate(ratios.tolist()):
+        rows = slice(j * (n + 2), (j + 1) * (n + 2))
+        np.multiply((outer[rows] * wx[j, :, None]).T @ inner[rows], scale, out=out[j])
+        # diagonal is analytically ratio**(n+1); pin it to kill quadrature roundoff
+        np.fill_diagonal(out[j], ratio ** exponents)
 
 
 def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
@@ -162,8 +179,10 @@ def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(scheme: Scheme, *arrays: np.ndarray) -> None:
+    # min and max propagate NaN and inf; unlike isfinite(arr).all() they need
+    # no mask the size of the array (4 MB for an N = 128 bank of 256 blocks)
     for arr in arrays:
-        if not np.isfinite(arr).all():
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise InstabilityError(
                 f"{scheme.value} discretization produced non-finite entries"
             )
@@ -242,6 +261,11 @@ def sequential_update(
 # and saves only per-row call overhead in `_build_steps`.
 _CHUNK_STEPS = 64
 
+# Legendre points per block group in the ZOH branch of `_fold_steps`. Each
+# node table holds GROUP x N floats (4 MB at N = 128); a larger group adds
+# to peak RSS and saves only per-degree call overhead in `legendre_table`.
+_GROUP_POINTS = 4096
+
 
 def _build_steps(
     op: HippoOperator, k: np.ndarray, scheme: Scheme,
@@ -304,8 +328,17 @@ def _fold_steps(
     column j of K_i is the product of the block's step matrices above its
     step j times that step's input vector.
 
-    For ZOH the products telescope into one matrix power and consecutive
-    differences of `segment_coefficients` per block.
+    For ZOH the products telescope into one matrix power per block and
+    consecutive differences of `segment_coefficients` per block. Consecutive
+    blocks are taken in groups of about `_GROUP_POINTS` Legendre points
+    (N + 2 quadrature nodes or L + 1 segment ends per block, whichever is
+    more), so the three Legendre recurrences (inner nodes, outer nodes,
+    segment ends) run once per group, not once per block. Each block's
+    matrix power and kernel are then written straight into the caller's
+    stacks, with the same bits as `transition_power` and a one-block
+    `segment_coefficients`. Groups stay small because their node tables add
+    directly to peak RSS: building all 256 blocks of an N = 128 bank at once
+    would take two 34 MB tables.
 
     Other schemes walk all the steps from the last down to step 1 in chunks
     of `_CHUNK_STEPS`, across block boundaries, so short blocks share one
@@ -317,11 +350,15 @@ def _fold_steps(
     """
     blocks, n, ell = kernels.shape
     if scheme is Scheme.ZOH:
-        for i in range(blocks):
+        group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
+        for first in range(0, blocks, group):
+            last = min(blocks, first + group)
+            i = np.arange(first, last)
             start, horizon = i * ell + 1, (i + 1) * ell + 1
-            transitions[i] = transition_power(op, start / horizon)
-            seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
-            np.subtract(seg[1:], seg[:-1], out=kernels[i].T)
+            _transition_powers(op, start / horizon, transitions[first:last])
+            points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
+            seg = segment_coefficients(op, points.ravel()).reshape(last - first, ell + 1, n)
+            np.subtract(seg[:, 1:], seg[:, :-1], out=kernels[first:last].transpose(0, 2, 1))
         return
     transitions[:] = np.eye(n)  # the empty product, kept when L = 0
     size = min(_CHUNK_STEPS, blocks * ell)

@@ -53,22 +53,34 @@ def legendre_eval(degree: int, z: float) -> float:
 
 
 def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
-    """P_0..P_{count-1} at each of the given points, shape (len(z), count).
+    """P_0..P_{count-1} at each of the given points, shape (z.size, count).
 
-    Bonnet three-term recurrence, vectorized over points. Arguments within
-    CLAMP_TOL of [-1, 1] are clamped; values beyond it, and NaN, are rejected.
+    Bonnet three-term recurrence, run in place over the rows of a
+    (count, points) array, so each degree is a few numpy calls over
+    contiguous memory whatever the point count; every element keeps the
+    operation order ((2k-1) z) P_{k-1} - (k-1) P_{k-2}, then / k. The result
+    is returned as a C-contiguous (points, count) copy: callers slice it
+    into per-block matmul operands, and matmul bits depend on operand
+    layout. Arguments within CLAMP_TOL of [-1, 1] are clamped; values beyond
+    it, and NaN, are rejected.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
     z = np.clip(z, -1.0, 1.0)
-    out = np.empty((z.size, count))
-    out[:, 0] = 1.0
+    rows = np.empty((count, z.size))
+    rows[0] = 1.0
     if count > 1:
-        out[:, 1] = z
+        rows[1] = z
+    lower = np.empty(z.size)
     for k in range(2, count):
-        out[:, k] = ((2 * k - 1) * z * out[:, k - 1] - (k - 1) * out[:, k - 2]) / k
-    return out
+        row = rows[k]
+        np.multiply(z, 2 * k - 1, out=row)
+        row *= rows[k - 1]
+        np.multiply(rows[k - 2], k - 1, out=lower)
+        row -= lower
+        row /= k
+    return rows.T.copy()
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,17 @@ def basis_eval(n: int, point: BasisPoint) -> float:
     return np.sqrt(2.0 * n + 1.0) * legendre_eval(n, z)
 
 
-def basis_matrix(xs: np.ndarray, t: float, count: int) -> np.ndarray:
-    """Rows of basis values g_0..g_{count-1} at coordinates xs under horizon t."""
-    if t <= 0:
+def basis_matrix(xs: np.ndarray, t: float | np.ndarray, count: int) -> np.ndarray:
+    """Rows of basis values g_0..g_{count-1} at coordinates xs under horizon t.
+
+    t may be an array that broadcasts against xs (one horizon per row of a
+    stack of coordinate sets); the result has shape xs.shape[:-1] +
+    (points, count).
+    """
+    if np.any(np.asarray(t) <= 0):
         raise ValueError(f"time horizon must be positive, got {t}")
-    xs = np.asarray(xs, dtype=float)
+    z = 2.0 * np.asarray(xs, dtype=float) / t - 1.0
     sq = np.sqrt(2.0 * np.arange(count) + 1.0)
-    return legendre_table(2.0 * xs / t - 1.0, count) * sq[None, :]
+    table = legendre_table(z, count)
+    table *= sq
+    return table.reshape(z.shape[:-1] + (-1, count))

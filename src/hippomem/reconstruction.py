@@ -134,13 +134,12 @@ def build_reconstruction_bank(
         raise ValueError(f"block_length must be >= 1, got {block_length}")
     if max_blocks < 1:
         raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
-    matrices = np.empty((max_blocks, mem_length, op.order))
+    horizons = np.arange(1, max_blocks + 1) * float(block_length)
     points = np.empty((max_blocks, mem_length))
-    for i in range(1, max_blocks + 1):
-        t = float(i * block_length)
-        pts = sample_points(strategy, t, mem_length)
-        points[i - 1] = pts
-        matrices[i - 1] = basis_matrix(pts, t, op.order)
+    for row, t in zip(points, horizons.tolist()):
+        row[:] = sample_points(strategy, t, mem_length)
+    # one basis evaluation for every block: one Legendre recurrence in all
+    matrices = basis_matrix(points, horizons[:, None], op.order)
     return ReconstructionBank(
         mem_length=mem_length,
         order=op.order,

@@ -126,6 +126,17 @@ def test_rotary_two_dims_is_one_radian_per_position():
 def test_rotary_rejects_odd_dimension():
     with pytest.raises(ValueError):
         apply_rotary(np.zeros((2, 3)), 0, 10000.0)
+    with pytest.raises(ValueError):
+        apply_rotary(np.zeros((4, 2, 3)), 0, 10000.0)
+
+
+def test_rotary_over_heads_equals_per_head_calls():
+    # (L, H*D) -> (H, L, D) head-major view, as forward_block passes it
+    heads = normals(derive(3, 2), 6 * 4 * 8).reshape(6, 4, 8).transpose(1, 0, 2)
+    rotated = apply_rotary(heads, 37, 10000.0)
+    assert rotated.flags.c_contiguous
+    np.testing.assert_array_equal(
+        rotated, np.stack([apply_rotary(part, 37, 10000.0) for part in heads]))
 
 
 def test_first_block_equals_reference_causal_attention():

@@ -11,10 +11,12 @@ from hippomem import (
     build_operator,
     discretize_step,
     history_kernel,
+    segment_coefficients,
     sequential_update,
+    transition_power,
     zero_state,
 )
-from hippomem.discretization import _CHUNK_STEPS
+from hippomem.discretization import _CHUNK_STEPS, _GROUP_POINTS
 from hippomem.rng import normals, derive
 
 NON_ZOH = [Scheme.FORWARD_EULER, Scheme.BACKWARD_EULER, Scheme.BILINEAR]
@@ -85,6 +87,22 @@ def test_bank_blocks_longer_than_a_chunk(scheme):
         prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
         assert np.abs(bank.transition(i) - prod).max() < 1e-12
         assert np.abs(bank.kernel(i) - kernel).max() < 1e-12
+
+
+@pytest.mark.parametrize("order, ell, blocks", [(128, 64, 70), (32, 1, 300), (1, 1, 6)])
+def test_zoh_bank_equals_per_block_quadrature_and_segments(order, ell, blocks):
+    # blocks are built a group at a time; each must equal its own one-block build, bit for bit
+    group = _GROUP_POINTS // max(order + 2, ell + 1)
+    assert blocks % group  # the last group is partial
+    op = build_operator(order)
+    bank = build_bank(op, ell, Scheme.ZOH, blocks)
+    for i in range(blocks):
+        start, horizon = i * ell + 1, (i + 1) * ell + 1
+        seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
+        np.testing.assert_array_equal(bank.transitions[i], transition_power(op, start / horizon))
+        np.testing.assert_array_equal(bank.kernels[i], (seg[1:] - seg[:-1]).T)
+    assert bank.transitions.strides == np.empty((blocks, order, order)).strides
+    assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
 
 
 @pytest.mark.parametrize("order", [4, 32, 128])

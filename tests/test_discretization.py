@@ -21,6 +21,7 @@ from hippomem import (
     transition_power,
     zero_state,
 )
+from hippomem.discretization import _check_finite
 
 
 def test_scheme_parsing():
@@ -190,6 +191,16 @@ def test_fixed_point_confirmed_by_adaptive_ode_solver():
     y0[0] = c
     sol = solve_ivp(rhs, (1.0, 50.0), y0, rtol=1e-10, atol=1e-12)
     assert np.abs(sol.y[:, -1] - y0).max() < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_check_finite_catches_any_non_finite_entry(bad, where):
+    arr = np.ones((3, 4, 5))
+    arr.reshape(-1)[where] = bad
+    with pytest.raises(InstabilityError):
+        _check_finite(Scheme.ZOH, np.ones(2), arr)
+    _check_finite(Scheme.ZOH, np.ones(2), np.empty((0, 3)))
 
 
 def test_forward_euler_instability_is_explicit():

@@ -106,6 +106,29 @@ def test_legendre_table_matches_scalar():
             assert table[i, n] == pytest.approx(legendre_eval(n, zi), abs=1e-14)
 
 
+@pytest.mark.parametrize("count", [1, 2, 129])
+def test_legendre_table_is_c_contiguous_and_matches_scalar_exactly(count):
+    z = np.linspace(-1, 1, 33)
+    table = legendre_table(z, count)
+    assert table.shape == (33, count)
+    assert table.strides == np.empty((33, count)).strides
+    for i, zi in enumerate(z):
+        for n in range(0, count, 7):
+            assert table[i, n] == legendre_eval(n, zi)
+    assert legendre_table(np.empty(0), count).shape == (0, count)
+
+
+def test_legendre_table_keeps_the_scalar_operation_order():
+    # bank bits rest on this order: ((2k-1) z) P_{k-1} - (k-1) P_{k-2}, then / k
+    z = np.linspace(-1, 1, 101)
+    table = legendre_table(z, 129)
+    for i, zi in enumerate(z.tolist()):
+        prev, cur = 1.0, zi
+        for k in range(2, 129):
+            prev, cur = cur, ((2 * k - 1) * zi * cur - (k - 1) * prev) / k
+            assert table[i, k] == cur
+
+
 def test_basis_point_validation():
     with pytest.raises(ValueError):
         BasisPoint(time_horizon=0.0, coordinate=0.0)

@@ -5,10 +5,12 @@ import pytest
 from scipy.special import eval_legendre
 
 from hippomem import (
+    BasisPoint,
     MemoryState,
     SamplingKind,
     SamplingStrategy,
     Scheme,
+    basis_eval,
     basis_matrix,
     build_operator,
     build_reconstruction_bank,
@@ -76,6 +78,27 @@ def test_bank_entries_match_independent_legendre():
         for n in range(8):
             expected = np.sqrt(2 * n + 1) * eval_legendre(n, 2 * x / 48.0 - 1.0)
             assert bank.matrix(3)[j, n] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("strategy", [
+    UNIFORM,
+    SamplingStrategy(SamplingKind.EXPONENTIAL, 0.95),
+    SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5),   # 60 points: reaches the collision nudge
+], ids=lambda s: s.label())
+def test_bank_equals_per_block_basis_matrix(strategy):
+    # the bank evaluates every block's basis in one pass; each block must match its own call
+    op = build_operator(32)
+    mem, ell, blocks = 60, 16, 40
+    bank = build_reconstruction_bank(op, strategy, mem, ell, blocks)
+    for i in range(1, blocks + 1):
+        t = float(i * ell)
+        pts = sample_points(strategy, t, mem)
+        np.testing.assert_array_equal(bank.points[i - 1], pts)
+        np.testing.assert_array_equal(bank.matrix(i), basis_matrix(pts, t, 32))
+        for j in (0, mem // 2, mem - 1):
+            for n in (0, 1, 31):
+                assert bank.matrix(i)[j, n] == basis_eval(n, BasisPoint(t, pts[j]))
+    assert bank.matrices.strides == np.empty((blocks, mem, 32)).strides
 
 
 def test_bank_first_column_is_ones():
