@@ -9,12 +9,9 @@ measures reconstruction quality on synthetic signals.
 """
 
 from .operators import (
-    BasisPoint,
     HippoOperator,
-    basis_eval,
     basis_matrix,
     build_operator,
-    legendre_eval,
     legendre_table,
 )
 from .discretization import (
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionConfig",
     "AttentionWeights",
-    "BasisPoint",
     "BenchResult",
     "BlockIO",
     "BlockKernelBank",
@@ -81,7 +77,6 @@ __all__ = [
     "SignalSpec",
     "TableRow",
     "apply_rotary",
-    "basis_eval",
     "basis_matrix",
     "block_update",
     "build_bank",
@@ -94,7 +89,6 @@ __all__ = [
     "generate_signal",
     "history_kernel",
     "init_weights",
-    "legendre_eval",
     "legendre_table",
     "retrieve",
     "run_benchmark",

@@ -14,7 +14,8 @@ skip the N^3-scale precomputation:
     checksum   u32      crc32 of the fields above, then the payload
     payload    row-major f64 matrices in index order
                EMKB: all P_i, then all K_i
-               EMRB: all R_i, then all sample-point rows
+               EMRB: the one reconstruction matrix R, which every
+                     history length shares
 
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
@@ -55,7 +56,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 3
+_VERSION = 4
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 
@@ -153,7 +154,6 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
         scheme=_SCHEME_FROM_TAG[tag],
         transitions=_freeze(transitions),
         kernels=_freeze(kernels),
-        max_blocks=max_blocks,
     )
 
 
@@ -162,7 +162,7 @@ def write_reconstruction_bank(path: str, bank: ReconstructionBank) -> int:
     decay = bank.strategy.decay if bank.strategy.kind is SamplingKind.EXPONENTIAL else 0.0
     return _write(path, _MAGIC_RECON, bank.order, bank.block_length,
                   _STRATEGY_TAGS[bank.strategy.kind], bank.max_blocks,
-                  bank.mem_length, decay, [bank.matrices, bank.points])
+                  bank.mem_length, decay, [bank.matrices[0]])
 
 
 def read_reconstruction_bank(path: str) -> ReconstructionBank:
@@ -173,19 +173,15 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
     kind = _STRATEGY_FROM_TAG[tag]
     strategy = (SamplingStrategy(kind, decay) if kind is SamplingKind.EXPONENTIAL
                 else SamplingStrategy(kind))
-    n_mat = max_blocks * mem_length * order
-    n_pts = max_blocks * mem_length
-    if flat.size != n_mat + n_pts:
+    if flat.size != mem_length * order:
         raise CacheError(f"cache file {path} payload size mismatch")
-    matrices = flat[:n_mat].reshape(max_blocks, mem_length, order).copy()
-    points = flat[n_mat:].reshape(max_blocks, mem_length).copy()
+    recon = flat.reshape(mem_length, order).copy()
     return ReconstructionBank(
         mem_length=mem_length,
         order=order,
         block_length=block_length,
         strategy=strategy,
-        matrices=_freeze(matrices),
-        points=_freeze(points),
+        matrices=np.broadcast_to(recon, (max_blocks, mem_length, order)),
     )
 
 

@@ -36,19 +36,10 @@ class BlockKernelBank:
     scheme: Scheme
     transitions: np.ndarray  # (max_blocks, N, N)
     kernels: np.ndarray      # (max_blocks, N, L)
-    max_blocks: int
 
-    def transition(self, i: int) -> np.ndarray:
-        """P_i for 1-based block position i."""
-        if not 1 <= i <= self.max_blocks:
-            raise IndexError(f"block position {i} outside 1..{self.max_blocks}")
-        return self.transitions[i - 1]
-
-    def kernel(self, i: int) -> np.ndarray:
-        """K_i for 1-based block position i."""
-        if not 1 <= i <= self.max_blocks:
-            raise IndexError(f"block position {i} outside 1..{self.max_blocks}")
-        return self.kernels[i - 1]
+    @property
+    def max_blocks(self) -> int:
+        return self.transitions.shape[0]
 
 
 def build_bank(
@@ -70,7 +61,6 @@ def build_bank(
         scheme=scheme,
         transitions=_freeze(transitions),
         kernels=_freeze(kernels),
-        max_blocks=max_blocks,
     )
 
 
@@ -96,5 +86,6 @@ def block_update(
         raise ValueError(
             f"inputs shape {f.shape} != ({bank.block_length}, {state.channel_count})"
         )
-    coeffs = bank.transition(position) @ state.coefficients + bank.kernel(position) @ f
+    coeffs = (bank.transitions[position - 1] @ state.coefficients
+              + bank.kernels[position - 1] @ f)
     return MemoryState(coeffs, blocks_absorbed=position)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -49,7 +50,7 @@ class UsageError(ValueError):
 
 
 def _strategy(name: str, alpha: float) -> SamplingStrategy:
-    kind = SamplingKind.parse(name)
+    kind = SamplingKind(name)
     if kind is SamplingKind.EXPONENTIAL:
         return SamplingStrategy(kind, alpha)
     return SamplingStrategy(kind)
@@ -74,9 +75,13 @@ def _read_columns(path: str) -> np.ndarray:
                     continue
                 parts = body.replace(",", " ").split()
                 try:
-                    rows.append([float(p) for p in parts])
+                    row = [float(p) for p in parts]
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: not numeric: {body!r}") from exc
+                # float() accepts nan and inf, which would compress to a NaN MSE
+                if not all(map(math.isfinite, row)):
+                    raise UsageError(f"{path}:{lineno}: not finite: {body!r}")
+                rows.append(row)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -106,7 +111,7 @@ def _cmd_build_banks(args: argparse.Namespace) -> int:
     if args.max_blocks < 1:
         raise UsageError(f"--max-blocks must be >= 1, got {args.max_blocks}")
     op = build_operator(args.order)
-    scheme = Scheme.parse(args.scheme)
+    scheme = Scheme(args.scheme)
     strategy = _strategy(args.strategy, args.alpha)
     cache_dir = args.cache_dir
 
@@ -143,7 +148,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if length < 2:
         raise UsageError(f"{args.input}: need at least 2 rows, got {length}")
     op = build_operator(args.order)
-    scheme = Scheme.parse(args.scheme)
+    scheme = Scheme(args.scheme)
     strategy = _strategy(args.strategy, args.alpha)
     mem_length = min(64, length) if args.mem_length is None else args.mem_length
     if mem_length < 1:
@@ -254,7 +259,7 @@ def _run_attention_pass(cfg: AttentionConfig, weights, inputs, kernel_bank,
 def _cmd_attn_demo(args: argparse.Namespace) -> int:
     if args.blocks < 1:
         raise UsageError(f"--blocks must be >= 1, got {args.blocks}")
-    scheme = Scheme.parse(args.scheme)
+    scheme = Scheme(args.scheme)
     train_name = args.train_strategy or args.strategy
     eval_name = args.eval_strategy or train_name
     train_strategy = _strategy(train_name, args.alpha)

@@ -47,11 +47,12 @@ class Scheme(enum.Enum):
     BILINEAR = "bilinear"
 
     @classmethod
-    def parse(cls, name: str) -> "Scheme":
+    def _missing_(cls, value: object) -> "Scheme":
+        # the constructor folds case: Scheme("ZOH") is Scheme.ZOH
         for member in cls:
-            if member.value == name.lower():
+            if member.value == str(value).lower():
                 return member
-        raise ValueError(f"unknown scheme {name!r}; expected one of "
+        raise ValueError(f"unknown scheme {value!r}; expected one of "
                          f"{[m.value for m in cls]}")
 
 
@@ -63,7 +64,6 @@ class InstabilityError(ValueError):
 class DiscreteStep:
     """Position-dependent step matrices (Abar_k, Bbar_k) for one unit step."""
 
-    step_index: int
     a_bar: np.ndarray
     b_bar: np.ndarray
 
@@ -236,7 +236,7 @@ def discretize_step(op: HippoOperator, k: int, scheme: Scheme) -> DiscreteStep:
     if k < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
     a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
-    return DiscreteStep(step_index=k, a_bar=_freeze(a_bar), b_bar=_freeze(b_bar))
+    return DiscreteStep(a_bar=_freeze(a_bar), b_bar=_freeze(b_bar))
 
 
 def sequential_update(

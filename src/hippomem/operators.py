@@ -45,13 +45,6 @@ def build_operator(order: int) -> HippoOperator:
     return HippoOperator(order=order, a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
-def legendre_eval(degree: int, z: float) -> float:
-    """P_degree(z): the scalar case of `legendre_table`."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return float(legendre_table(z, degree + 1)[0, degree])
-
-
 def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     """P_0..P_{count-1} at each of the given points, shape (z.size, count).
 
@@ -64,6 +57,8 @@ def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     layout. Arguments within CLAMP_TOL of [-1, 1] are clamped; values beyond
     it, and NaN, are rejected.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
@@ -83,39 +78,10 @@ def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     return rows.T.copy()
 
 
-@dataclass(frozen=True)
-class BasisPoint:
-    """A coordinate x within a history window [0, t]."""
-
-    time_horizon: float
-    coordinate: float
-
-    def __post_init__(self) -> None:
-        if self.time_horizon <= 0:
-            raise ValueError(f"time_horizon must be positive, got {self.time_horizon}")
-        if not 0.0 <= self.coordinate <= self.time_horizon:
-            raise ValueError(
-                f"coordinate {self.coordinate} outside [0, {self.time_horizon}]"
-            )
-
-
-def basis_eval(n: int, point: BasisPoint) -> float:
-    """g_n(x) = sqrt(2n+1) P_n(2x/t - 1) at the given point."""
-    z = 2.0 * point.coordinate / point.time_horizon - 1.0
-    return np.sqrt(2.0 * n + 1.0) * legendre_eval(n, z)
-
-
-def basis_matrix(xs: np.ndarray, t: float | np.ndarray, count: int) -> np.ndarray:
-    """Rows of basis values g_0..g_{count-1} at coordinates xs under horizon t.
-
-    t may be an array that broadcasts against xs (one horizon per row of a
-    stack of coordinate sets); the result has shape xs.shape[:-1] +
-    (points, count).
-    """
-    if np.any(np.asarray(t) <= 0):
+def basis_matrix(xs: np.ndarray, t: float, count: int) -> np.ndarray:
+    """Rows of basis values g_0..g_{count-1} at coordinates xs under horizon t."""
+    if t <= 0:
         raise ValueError(f"time horizon must be positive, got {t}")
-    z = 2.0 * np.asarray(xs, dtype=float) / t - 1.0
-    sq = np.sqrt(2.0 * np.arange(count) + 1.0)
-    table = legendre_table(z, count)
-    table *= sq
-    return table.reshape(z.shape[:-1] + (-1, count))
+    table = legendre_table(2.0 * np.asarray(xs, dtype=float) / t - 1.0, count)
+    table *= np.sqrt(2.0 * np.arange(count) + 1.0)
+    return table

@@ -3,9 +3,11 @@
 A memory state holding coefficients for a history of length t can be read
 out at any coordinates x in [0, t): stacking basis rows g_n(x_j) gives a
 reconstruction matrix R with R @ C = reconstructed channel values at the
-sample points. Banks precompute R for every block position; the sample
-points come from a strategy (uniform, or exponentially spaced so that
-spacing tightens toward the recent end).
+sample points. The sample points come from a strategy (uniform, or
+exponentially spaced so that spacing tightens toward the recent end), and
+both strategies place them at fixed fractions of t. The basis is scale
+invariant, g_n(x; t) = g_n(x/t; 1), so R does not depend on t: a bank
+computes it once, at t = 1, and serves every history length with it.
 
 Reconstructed rows need no positional encoding: the basis values are
 injective in x, so position is intrinsic to each row.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import MemoryState
-from .operators import HippoOperator, _freeze, basis_matrix
+from .operators import HippoOperator, basis_matrix
 
 __all__ = [
     "SamplingKind",
@@ -38,11 +40,12 @@ class SamplingKind(enum.Enum):
     EXPONENTIAL = "exponential"
 
     @classmethod
-    def parse(cls, name: str) -> "SamplingKind":
+    def _missing_(cls, value: object) -> "SamplingKind":
+        # the constructor folds case: SamplingKind("Uniform") is UNIFORM
         for member in cls:
-            if member.value == name.lower():
+            if member.value == str(value).lower():
                 return member
-        raise ValueError(f"unknown sampling strategy {name!r}; expected one of "
+        raise ValueError(f"unknown sampling strategy {value!r}; expected one of "
                          f"{[m.value for m in cls]}")
 
 
@@ -96,10 +99,11 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
 
 @dataclass(frozen=True)
 class ReconstructionBank:
-    """Reconstruction matrices R_i for history lengths t = i * block_length.
+    """The reconstruction matrix R for histories of 1 .. max_blocks blocks.
 
-    matrices[i-1] evaluates the basis at the strategy's sample points for a
-    history of i blocks; row order is oldest to newest. Immutable.
+    matrices[i-1] serves a history of i blocks. Every entry is the same R,
+    the basis at the strategy's sample points with rows ordered oldest to
+    newest, held once as a read-only broadcast view (stride 0 over blocks).
     """
 
     mem_length: int
@@ -107,17 +111,10 @@ class ReconstructionBank:
     block_length: int
     strategy: SamplingStrategy
     matrices: np.ndarray  # (max_blocks, L_mem, N)
-    points: np.ndarray    # (max_blocks, L_mem)
 
     @property
     def max_blocks(self) -> int:
         return self.matrices.shape[0]
-
-    def matrix(self, i: int) -> np.ndarray:
-        """R_i for a history of i absorbed blocks (1-based)."""
-        if not 1 <= i <= self.max_blocks:
-            raise IndexError(f"history of {i} blocks outside 1..{self.max_blocks}")
-        return self.matrices[i - 1]
 
 
 def build_reconstruction_bank(
@@ -127,26 +124,20 @@ def build_reconstruction_bank(
     block_length: int,
     max_blocks: int,
 ) -> ReconstructionBank:
-    """Precompute R_i for every history length i * block_length, i = 1..max_blocks."""
+    """Precompute R for every history length i * block_length, i = 1..max_blocks."""
     if mem_length < 1:
         raise ValueError(f"mem_length must be >= 1, got {mem_length}")
     if block_length < 1:
         raise ValueError(f"block_length must be >= 1, got {block_length}")
     if max_blocks < 1:
         raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
-    horizons = np.arange(1, max_blocks + 1) * float(block_length)
-    points = np.empty((max_blocks, mem_length))
-    for row, t in zip(points, horizons.tolist()):
-        row[:] = sample_points(strategy, t, mem_length)
-    # one basis evaluation for every block: one Legendre recurrence in all
-    matrices = basis_matrix(points, horizons[:, None], op.order)
+    recon = basis_matrix(sample_points(strategy, 1.0, mem_length), 1.0, op.order)
     return ReconstructionBank(
         mem_length=mem_length,
         order=op.order,
         block_length=block_length,
         strategy=strategy,
-        matrices=_freeze(matrices),
-        points=_freeze(points),
+        matrices=np.broadcast_to(recon, (max_blocks, mem_length, op.order)),
     )
 
 
@@ -165,4 +156,4 @@ def retrieve(state: MemoryState, bank: ReconstructionBank) -> np.ndarray:
         )
     if state.order != bank.order:
         raise ValueError(f"state order {state.order} != bank order {bank.order}")
-    return bank.matrix(absorbed) @ state.coefficients
+    return bank.matrices[absorbed - 1] @ state.coefficients

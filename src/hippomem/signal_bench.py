@@ -40,15 +40,15 @@ __all__ = [
     "rows_to_json",
 ]
 
-# Component frequencies are stratified over frequency_range in this many
+# Component frequencies are stratified over FREQUENCY_RANGE in this many
 # contiguous bands (component i draws from band i, capped at the last), so
 # adding components strictly adds higher-frequency content and reconstruction
 # error grows monotonically with component count.
 FREQUENCY_BANDS = 5
 
-DEFAULT_AMPLITUDE_RANGE = (0.5, 1.5)
-DEFAULT_FREQUENCY_RANGE = (1.0, 9.0)  # cycles per window
-DEFAULT_PHASE_RANGE = (0.0, 2.0 * np.pi)
+AMPLITUDE_RANGE = (0.5, 1.5)
+FREQUENCY_RANGE = (1.0, 9.0)  # cycles per window
+PHASE_RANGE = (0.0, 2.0 * np.pi)
 
 
 class SignalKind(enum.Enum):
@@ -62,26 +62,16 @@ class SignalSpec:
     component_count: int
     length: int
     seed: int
-    amplitude_range: tuple[float, float] = DEFAULT_AMPLITUDE_RANGE
-    frequency_range: tuple[float, float] = DEFAULT_FREQUENCY_RANGE
-    phase_range: tuple[float, float] = DEFAULT_PHASE_RANGE
 
     def __post_init__(self) -> None:
         if self.length < 2:
             raise ValueError(f"length must be >= 2, got {self.length}")
         if self.kind is SignalKind.SINE_COMPOSITE and self.component_count < 1:
             raise ValueError("component_count must be >= 1 for sine signals")
-        for name in ("amplitude_range", "frequency_range", "phase_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    spec: SignalSpec
-    hippo_order: int
-    scheme: Scheme
     mse: float
     wall_time: float
 
@@ -92,9 +82,9 @@ def generate_signal(spec: SignalSpec) -> np.ndarray:
         sig = rng.normals(spec.seed, spec.length)
     else:
         u = rng.uniforms(spec.seed, 3 * spec.component_count)
-        a_lo, a_hi = spec.amplitude_range
-        f_lo, f_hi = spec.frequency_range
-        p_lo, p_hi = spec.phase_range
+        a_lo, a_hi = AMPLITUDE_RANGE
+        f_lo, f_hi = FREQUENCY_RANGE
+        p_lo, p_hi = PHASE_RANGE
         band_width = (f_hi - f_lo) / FREQUENCY_BANDS
         t = np.arange(spec.length) / spec.length
         sig = np.zeros(spec.length)
@@ -133,13 +123,7 @@ def run_benchmark(spec: SignalSpec, order: int, scheme: Scheme) -> BenchResult:
     state = _cached_kernel(order, spec.length, scheme) @ signal
     recon = _cached_probe_matrix(order, spec.length) @ state
     mse = float(np.mean((recon - signal) ** 2))
-    return BenchResult(
-        spec=spec,
-        hippo_order=order,
-        scheme=scheme,
-        mse=mse,
-        wall_time=time.perf_counter() - started,
-    )
+    return BenchResult(mse=mse, wall_time=time.perf_counter() - started)
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,12 @@ def test_reconstruction_bank_roundtrip(tmp_path):
     write_reconstruction_bank(str(path), bank)
     loaded = read_reconstruction_bank(str(path))
     assert loaded.strategy == EXP
+    assert (loaded.order, loaded.block_length, loaded.mem_length, loaded.max_blocks) == (
+        4, 8, 6, 2)
     np.testing.assert_array_equal(loaded.matrices, bank.matrices)
-    np.testing.assert_array_equal(loaded.points, bank.points)
+    # one R serves every history length, on disk as in memory
+    assert path.stat().st_size == _CHECKSUM_AT + 4 + 8 * 6 * 4
+    assert loaded.matrices.strides[0] == 0 and not loaded.matrices.flags.writeable
 
 
 def test_write_is_deterministic(tmp_path):
@@ -115,20 +119,21 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
 
 
 def test_older_version_is_rebuilt(tmp_path):
-    _, path, _ = _load_or_build(tmp_path, None)
-    for version in (1, 2):
-        # an intact file of an older version: only the version check can reject it
-        blob = bytearray(open(path, "rb").read())
-        struct.pack_into("<I", blob, _VERSION_AT, version)
-        payload_at = _CHECKSUM_AT + 4
-        struct.pack_into("<I", blob, _CHECKSUM_AT,
-                         zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        _, _, hit = _load_or_build(tmp_path, None)
-        assert not hit
-        _, _, hit = _load_or_build(tmp_path, None)
-        assert hit
+    for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
+        _, path, _ = _load_or_build(tmp_path, strategy)
+        for version in (1, 2, 3):
+            # an intact file of an older version: only the version check can reject it
+            blob = bytearray(open(path, "rb").read())
+            struct.pack_into("<I", blob, _VERSION_AT, version)
+            payload_at = _CHECKSUM_AT + 4
+            struct.pack_into("<I", blob, _CHECKSUM_AT,
+                             zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            _, _, hit = _load_or_build(tmp_path, strategy)
+            assert not hit
+            _, _, hit = _load_or_build(tmp_path, strategy)
+            assert hit
 
 
 def test_truncated_file_rejected(tmp_path):

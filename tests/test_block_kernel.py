@@ -42,16 +42,16 @@ def test_block_length_one_degenerates_to_steps():
     bank = build_bank(op, 1, Scheme.ZOH, 4)
     for i in range(1, 5):
         step = discretize_step(op, i, Scheme.ZOH)
-        np.testing.assert_allclose(bank.transition(i), step.a_bar, atol=1e-12)
-        np.testing.assert_allclose(bank.kernel(i)[:, 0], step.b_bar, atol=1e-12)
+        np.testing.assert_allclose(bank.transitions[i - 1], step.a_bar, atol=1e-12)
+        np.testing.assert_allclose(bank.kernels[i - 1][:, 0], step.b_bar, atol=1e-12)
 
 
 def test_first_block_transition_matches_naive_product():
     op = build_operator(4)
     bank = build_bank(op, 8, Scheme.ZOH, 2)
     prod, kernel = brute_force_block(op, 1, 8, Scheme.ZOH)
-    assert np.abs(bank.transition(1) - prod).max() < 1e-10
-    assert np.abs(bank.kernel(1) - kernel).max() < 1e-10
+    assert np.abs(bank.transitions[0] - prod).max() < 1e-10
+    assert np.abs(bank.kernels[0] - kernel).max() < 1e-10
 
 
 def test_second_block_diagonal_telescopes():
@@ -59,10 +59,10 @@ def test_second_block_diagonal_telescopes():
     op = build_operator(4)
     bank = build_bank(op, 8, Scheme.ZOH, 2)
     expected = (9.0 / 17.0) ** (np.arange(4) + 1.0)
-    assert np.abs(np.diag(bank.transition(2)) - expected).max() < 1e-12
+    assert np.abs(np.diag(bank.transitions[1]) - expected).max() < 1e-12
     prod, kernel = brute_force_block(op, 9, 16, Scheme.ZOH)
-    assert np.abs(bank.transition(2) - prod).max() < 1e-10
-    assert np.abs(bank.kernel(2) - kernel).max() < 1e-10
+    assert np.abs(bank.transitions[1] - prod).max() < 1e-10
+    assert np.abs(bank.kernels[1] - kernel).max() < 1e-10
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ZOH, Scheme.BILINEAR, Scheme.BACKWARD_EULER,
@@ -73,8 +73,8 @@ def test_bank_matches_brute_force(scheme):
     bank = build_bank(op, ell, scheme, 3)
     for i in (1, 2, 3):
         prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
-        assert np.abs(bank.transition(i) - prod).max() < 1e-9
-        assert np.abs(bank.kernel(i) - kernel).max() < 1e-9
+        assert np.abs(bank.transitions[i - 1] - prod).max() < 1e-9
+        assert np.abs(bank.kernels[i - 1] - kernel).max() < 1e-9
 
 
 @pytest.mark.parametrize("scheme", NON_ZOH)
@@ -85,8 +85,8 @@ def test_bank_blocks_longer_than_a_chunk(scheme):
     bank = build_bank(op, ell, scheme, 2)
     for i in (1, 2):
         prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
-        assert np.abs(bank.transition(i) - prod).max() < 1e-12
-        assert np.abs(bank.kernel(i) - kernel).max() < 1e-12
+        assert np.abs(bank.transitions[i - 1] - prod).max() < 1e-12
+        assert np.abs(bank.kernels[i - 1] - kernel).max() < 1e-12
 
 
 @pytest.mark.parametrize("order, ell, blocks", [(128, 64, 70), (32, 1, 300), (1, 1, 6)])
@@ -196,5 +196,3 @@ def test_capacity_and_dimension_errors():
         block_update(zero_state(4, 2), np.zeros((3, 1)), bank)  # wrong D
     with pytest.raises(ValueError):
         block_update(zero_state(5, 1), np.zeros((3, 1)), bank)  # wrong N
-    with pytest.raises(IndexError):
-        bank.transition(2)

@@ -109,6 +109,16 @@ def test_compress_rejects_empty_and_malformed(tmp_path, capsys):
     assert code == 2 and "ragged" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compress_rejects_non_finite_values(tmp_path, capsys, value):
+    # float() parses these, but they would compress to a NaN MSE that reads as a pass
+    sig = tmp_path / "sig.txt"
+    sig.write_text(f"1.0 2.0\n0.5 {value}\n0.25 1.0\n")
+    code, out, err = run_cli(["compress", str(sig)], capsys)
+    assert code == 2 and out == ""
+    assert f"{sig}:2:" in err and "not finite" in err
+
+
 def test_bench_table_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -170,7 +180,8 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
                  id="attn-default-block-length"),
     pytest.param("blocks = 1\nblock_length = 4\n", ["attn-demo"], " L=4 ",
                  ["--block-length", "2"], " L=2 ", id="attn-block-length"),
-    # config values go through Scheme.parse, which folds case; flags must be lower case
+    # config values go through the Scheme constructor, which folds case; flags must
+    # be lower case
     pytest.param("order = 4\nblock_length = 4\nmax_blocks = 1\nscheme = ZOH\n",
                  ["build-banks"], "_zoh_", ["--scheme", "bilinear"], "_bilinear_",
                  id="scheme-case-folded"),

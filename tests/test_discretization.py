@@ -25,10 +25,13 @@ from hippomem.discretization import _check_finite
 
 
 def test_scheme_parsing():
-    assert Scheme.parse("ZOH") is Scheme.ZOH
-    assert Scheme.parse("bilinear") is Scheme.BILINEAR
-    with pytest.raises(ValueError):
-        Scheme.parse("euler")
+    # the constructor is the one string-to-enum path; it folds case
+    assert Scheme("ZOH") is Scheme.ZOH
+    assert Scheme("bilinear") is Scheme.BILINEAR
+    with pytest.raises(ValueError, match=r"unknown scheme 'euler'; expected one of"):
+        Scheme("euler")
+    with pytest.raises(ValueError, match="unknown scheme 0"):
+        Scheme(0)
 
 
 def test_zoh_smallest_case():

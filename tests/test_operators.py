@@ -5,15 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
-from hippomem import (
-    BasisPoint,
-    basis_eval,
-    basis_matrix,
-    build_operator,
-    legendre_eval,
-    legendre_table,
-)
+from hippomem import basis_matrix, build_operator, legendre_table
+
+
+def legendre(n: int, z: float) -> float:
+    """P_n(z) from a one-point table: the scalar case of legendre_table."""
+    return float(legendre_table(np.array([z]), n + 1)[0, n])
 
 
 def test_order_one():
@@ -68,53 +67,56 @@ def test_operator_is_immutable():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
 def test_legendre_endpoints(n):
-    assert legendre_eval(n, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert legendre_eval(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-14)
+    assert legendre(n, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert legendre(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-14)
 
 
 def test_legendre_quadratic_value():
     # oracle: (3 z^2 - 1) / 2 at z = 1/2 is exactly -1/8
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert legendre(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_legendre_against_mpmath():
     with mpmath.workdps(40):
         for n, z in [(5, 0.3), (11, -0.77), (30, 0.999)]:
             expected = float(mpmath.legendre(n, z))
-            assert legendre_eval(n, z) == pytest.approx(expected, rel=1e-12)
+            assert legendre(n, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_legendre_clamps_tiny_overshoot():
-    assert legendre_eval(4, 1.0 + 5e-13) == pytest.approx(1.0)
-    assert legendre_eval(4, -1.0 - 5e-13) == pytest.approx(1.0)
+    assert legendre(4, 1.0 + 5e-13) == pytest.approx(1.0)
+    assert legendre(4, -1.0 - 5e-13) == pytest.approx(1.0)
 
 
 def test_legendre_rejects_large_overshoot():
     with pytest.raises(ValueError):
-        legendre_eval(3, 1.0 + 1e-9)
+        legendre_table(np.array([0.0, 1.0 + 1e-9]), 4)
     with pytest.raises(ValueError):
-        legendre_eval(3, -1.5)
+        legendre_table(np.array([-1.5]), 4)
     with pytest.raises(ValueError):
-        legendre_eval(-1, 0.0)
+        legendre_table(np.array([np.nan]), 4)
+    with pytest.raises(ValueError):
+        legendre_table(np.array([0.0]), 0)
 
 
 def test_legendre_table_matches_scalar():
+    # oracle: scipy's Legendre evaluation, a separate code path from ours
     z = np.linspace(-1, 1, 17)
     table = legendre_table(z, 9)
-    for i, zi in enumerate(z):
-        for n in range(9):
-            assert table[i, n] == pytest.approx(legendre_eval(n, zi), abs=1e-14)
+    for n in range(9):
+        np.testing.assert_allclose(table[:, n], eval_legendre(n, z), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("count", [1, 2, 129])
 def test_legendre_table_is_c_contiguous_and_matches_scalar_exactly(count):
+    # a many-point table has the bits of one-point tables
     z = np.linspace(-1, 1, 33)
     table = legendre_table(z, count)
     assert table.shape == (33, count)
     assert table.strides == np.empty((33, count)).strides
     for i, zi in enumerate(z):
         for n in range(0, count, 7):
-            assert table[i, n] == legendre_eval(n, zi)
+            assert table[i, n] == legendre(n, zi)
     assert legendre_table(np.empty(0), count).shape == (0, count)
 
 
@@ -129,35 +131,26 @@ def test_legendre_table_keeps_the_scalar_operation_order():
             assert table[i, k] == cur
 
 
-def test_basis_point_validation():
-    with pytest.raises(ValueError):
-        BasisPoint(time_horizon=0.0, coordinate=0.0)
-    with pytest.raises(ValueError):
-        BasisPoint(time_horizon=-2.0, coordinate=0.0)
-    with pytest.raises(ValueError):
-        BasisPoint(time_horizon=4.0, coordinate=5.0)
-    with pytest.raises(ValueError):
-        BasisPoint(time_horizon=4.0, coordinate=-0.5)
-
-
-def test_basis_eval_examples():
-    assert basis_eval(0, BasisPoint(3.7, 1.1)) == 1.0
-    for n in range(6):
-        assert basis_eval(n, BasisPoint(5.0, 5.0)) == pytest.approx(
-            math.sqrt(2 * n + 1), abs=1e-13)
-    assert basis_eval(1, BasisPoint(2.0, 1.5)) == pytest.approx(
+def test_basis_matrix_examples():
+    assert basis_matrix(np.array([1.1]), 3.7, 1)[0, 0] == 1.0
+    np.testing.assert_allclose(basis_matrix(np.array([5.0]), 5.0, 6)[0],
+                               np.sqrt(2.0 * np.arange(6) + 1.0), rtol=0, atol=1e-13)
+    assert basis_matrix(np.array([1.5]), 2.0, 2)[0, 1] == pytest.approx(
         math.sqrt(3.0) * 0.5, abs=1e-14)
 
 
-def test_basis_matrix_matches_basis_eval():
+def test_basis_matrix_matches_scipy():
+    # oracle: sqrt(2n+1) P_n(2x/t - 1) with scipy's Legendre evaluation
     xs = np.array([0.0, 2.5, 7.0, 17.0])
     mat = basis_matrix(xs, 17.0, 6)
-    for i, x in enumerate(xs):
-        for n in range(6):
-            assert mat[i, n] == pytest.approx(
-                basis_eval(n, BasisPoint(17.0, x)), abs=1e-13)
-    with pytest.raises(ValueError):
-        basis_matrix(xs, 0.0, 3)
+    for n in range(6):
+        expected = math.sqrt(2 * n + 1) * eval_legendre(n, 2.0 * xs / 17.0 - 1.0)
+        np.testing.assert_allclose(mat[:, n], expected, rtol=0, atol=1e-13)
+    for bad in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            basis_matrix(xs, bad, 3)
+    with pytest.raises(ValueError):  # a coordinate beyond the horizon
+        basis_matrix(np.array([5.0]), 4.0, 3)
 
 
 @pytest.mark.parametrize("t", [1.0, 17.0, 1000.0])

@@ -5,12 +5,10 @@ import pytest
 from scipy.special import eval_legendre
 
 from hippomem import (
-    BasisPoint,
     MemoryState,
     SamplingKind,
     SamplingStrategy,
     Scheme,
-    basis_eval,
     basis_matrix,
     build_operator,
     build_reconstruction_bank,
@@ -73,32 +71,49 @@ def test_bank_entries_match_independent_legendre():
     op = build_operator(8)
     bank = build_reconstruction_bank(op, UNIFORM, 4, 16, 3)
     pts = sample_points(UNIFORM, 48.0, 4)
-    np.testing.assert_allclose(bank.points[2], pts, atol=0)
     for j, x in enumerate(pts):
         for n in range(8):
             expected = np.sqrt(2 * n + 1) * eval_legendre(n, 2 * x / 48.0 - 1.0)
-            assert bank.matrix(3)[j, n] == pytest.approx(expected, abs=1e-12)
+            assert bank.matrices[2][j, n] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("strategy", [
-    UNIFORM,
-    SamplingStrategy(SamplingKind.EXPONENTIAL, 0.95),
-    SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5),   # 60 points: reaches the collision nudge
-], ids=lambda s: s.label())
-def test_bank_equals_per_block_basis_matrix(strategy):
-    # the bank evaluates every block's basis in one pass; each block must match its own call
-    op = build_operator(32)
-    mem, ell, blocks = 60, 16, 40
+@pytest.mark.parametrize("strategy, order, rel", [
+    pytest.param(UNIFORM, 32, 1e-13, id="uniform"),
+    pytest.param(SamplingStrategy(SamplingKind.EXPONENTIAL, 0.95), 128, 1e-13,
+                 id="exponential0.95"),
+    # 60 points reach the collision nudge, whose float spacing depends on t
+    pytest.param(SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5), 32, 1e-11,
+                 id="exponential0.5"),
+])
+def test_bank_equals_per_block_basis_matrix(strategy, order, rel):
+    # the basis is scale invariant and the points sit at fixed fractions of t, so
+    # each block's own basis matrix at t = i L is the bank's one R up to roundoff
+    op = build_operator(order)
+    mem, ell, blocks = 60, 64, 64
     bank = build_reconstruction_bank(op, strategy, mem, ell, blocks)
+    recon = bank.matrices[0]
+    np.testing.assert_array_equal(
+        recon, basis_matrix(sample_points(strategy, 1.0, mem), 1.0, order))
+    # nor does R depend on the block length
+    np.testing.assert_array_equal(
+        build_reconstruction_bank(op, strategy, mem, 48, 2).matrices[1], recon)
+    assert bank.matrices.shape == (blocks, mem, order)
+    assert bank.matrices.strides[0] == 0
     for i in range(1, blocks + 1):
         t = float(i * ell)
-        pts = sample_points(strategy, t, mem)
-        np.testing.assert_array_equal(bank.points[i - 1], pts)
-        np.testing.assert_array_equal(bank.matrix(i), basis_matrix(pts, t, 32))
-        for j in (0, mem // 2, mem - 1):
-            for n in (0, 1, 31):
-                assert bank.matrix(i)[j, n] == basis_eval(n, BasisPoint(t, pts[j]))
-    assert bank.matrices.strides == np.empty((blocks, mem, 32)).strides
+        own = basis_matrix(sample_points(strategy, t, mem), t, order)
+        assert np.abs(own - recon).max() <= rel * np.abs(recon).max(), i
+
+
+@pytest.mark.parametrize("mem", [4, 16])
+def test_uniform_bank_is_bit_exact_when_mem_length_is_a_power_of_two(mem):
+    # x_j = j t / M and 2 x_j / t are then exact, so z = 2 j / M - 1 whatever t is
+    op = build_operator(128)
+    bank = build_reconstruction_bank(op, UNIFORM, mem, 64, 256)
+    for i in range(1, 257):
+        t = float(i * 64)
+        np.testing.assert_array_equal(
+            bank.matrices[i - 1], basis_matrix(sample_points(UNIFORM, t, mem), t, 128))
 
 
 def test_bank_first_column_is_ones():

@@ -11,6 +11,7 @@ from hippomem import (
     run_benchmark,
     run_table,
 )
+from hippomem import signal_bench
 from hippomem.signal_bench import rows_to_csv, rows_to_json
 
 
@@ -29,14 +30,12 @@ def test_normalization_forces_unit_variance():
         assert abs(sig.var() - 1.0) < 1e-6
 
 
-def test_single_fixed_sine_matches_closed_form():
+def test_single_fixed_sine_matches_closed_form(monkeypatch):
     # pin every range to a point so the oracle needs no random draws
-    spec = SignalSpec(
-        SignalKind.SINE_COMPOSITE, 1, 256, seed=9,
-        amplitude_range=(0.8, 0.8), frequency_range=(3.0, 3.0),
-        phase_range=(0.0, 0.0),
-    )
-    sig = generate_signal(spec)
+    monkeypatch.setattr(signal_bench, "AMPLITUDE_RANGE", (0.8, 0.8))
+    monkeypatch.setattr(signal_bench, "FREQUENCY_RANGE", (3.0, 3.0))
+    monkeypatch.setattr(signal_bench, "PHASE_RANGE", (0.0, 0.0))
+    sig = generate_signal(SignalSpec(SignalKind.SINE_COMPOSITE, 1, 256, seed=9))
     t = np.arange(256) / 256.0
     expected = 0.8 * np.sin(2.0 * np.pi * 3.0 * t)
     expected = (expected - expected.mean()) / expected.std()
@@ -48,9 +47,6 @@ def test_spec_validation():
         SignalSpec(SignalKind.SINE_COMPOSITE, 0, 256, seed=1)
     with pytest.raises(ValueError):
         SignalSpec(SignalKind.SINE_COMPOSITE, 1, 1, seed=1)
-    with pytest.raises(ValueError):
-        SignalSpec(SignalKind.SINE_COMPOSITE, 1, 256, seed=1,
-                   frequency_range=(5.0, 1.0))
 
 
 def test_mse_monotone_in_component_count_per_seed():
