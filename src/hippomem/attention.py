@@ -190,12 +190,21 @@ def forward_block(
 
     Block 1 sees no memory rows (nothing absorbed yet); with mem_length 0 the
     block is plain causal self-attention. State updates happen after the
-    attention read, so a block never attends to its own compression.
+    attention read, so a block never attends to its own compression. The
+    kernel bank must use cfg.scheme and the reconstruction bank, if any,
+    cfg.strategy.
     """
     hidden = np.asarray(io.hidden, dtype=float)
     ell, h, dh = cfg.block_length, cfg.head_count, cfg.head_dim
     if hidden.shape != (ell, cfg.model_dim):
         raise ValueError(f"hidden shape {hidden.shape} != ({ell}, {cfg.model_dim})")
+    # the banks decide what is computed; a config naming other ones is an error
+    if kernel_bank.scheme is not cfg.scheme:
+        raise ValueError(f"kernel bank scheme {kernel_bank.scheme.value!r} != "
+                         f"config scheme {cfg.scheme.value!r}")
+    if recon_bank is not None and recon_bank.strategy != cfg.strategy:
+        raise ValueError(f"reconstruction bank strategy {recon_bank.strategy.label()!r} "
+                         f"!= config strategy {cfg.strategy.label()!r}")
     use_memory = cfg.mem_length > 0 and io.block_index > 1
     if use_memory and recon_bank is None:
         raise ValueError("mem_length > 0 and history present, but no reconstruction bank")

@@ -323,3 +323,24 @@ def test_forward_rejects_bad_hidden_shape():
     with pytest.raises(ValueError):
         forward_block(fresh_io(cfg, np.zeros((3, cfg.model_dim))), weights, cfg,
                       kernel, recon)
+
+
+def test_forward_rejects_banks_the_config_does_not_name():
+    # the banks decide what is computed, so a config naming other ones must raise
+    cfg = make_config()
+    weights = init_weights(cfg, seed=1)
+    kernel, recon = make_banks(cfg)
+    io = fresh_io(cfg, np.zeros((cfg.block_length, cfg.model_dim)))
+    bilinear, _ = make_banks(make_config(scheme=Scheme.BILINEAR))
+    with pytest.raises(ValueError, match="scheme 'bilinear' != config scheme 'zoh'"):
+        forward_block(io, weights, cfg, bilinear, recon)
+    exp95, exp90 = (SamplingStrategy(SamplingKind.EXPONENTIAL, a) for a in (0.95, 0.9))
+    _, recon95 = make_banks(make_config(strategy=exp95))
+    with pytest.raises(ValueError, match="'exponential0.95' != config strategy 'uniform'"):
+        forward_block(io, weights, cfg, kernel, recon95)
+    cfg90 = make_config(strategy=exp90)
+    with pytest.raises(ValueError, match="'exponential0.95' != config strategy 'exponential0.9'"):
+        forward_block(io, weights, cfg90, kernel, recon95)
+    # with retrieval off there is no reconstruction bank to check
+    off = make_config(mem_length=0)
+    forward_block(fresh_io(off, io.hidden), weights, off, kernel, None)

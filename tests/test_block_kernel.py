@@ -119,6 +119,20 @@ def test_history_kernel_matches_composed_steps(order, scheme, length):
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
+@pytest.mark.parametrize("order", [1, 4, 32, 128])
+@pytest.mark.parametrize("length", [2, 3, 65, 513])
+def test_history_kernel_scan_matches_one_block_bank(scheme, order, length):
+    # history_kernel scans rows; build_bank folds step matrices. Over steps 1..T-1
+    # they build the same operator by independent routes.
+    op = build_operator(order)
+    kernel = history_kernel(op, length, scheme)
+    bank = build_bank(op, length - 1, scheme, 1)
+    bound = 1e-13 * np.abs(kernel).max()
+    assert np.abs(kernel[:, 1:] - bank.kernels[0]).max() <= bound
+    assert np.abs(kernel[:, 0] - bank.transitions[0][:, 0]).max() <= bound
+
+
 def test_bank_rejects_bad_parameters():
     op = build_operator(3)
     with pytest.raises(ValueError):

@@ -149,6 +149,8 @@ def test_attn_demo_invariants_pass(tmp_path, capsys):
     assert summary["checks"]["block1_memory_mass_zero"]
     assert summary["checks"]["rows_sum_to_one"]
     assert "block 1: memory_mass=0.000000" in out
+    # the check against its bound, not the deviation's roundoff digits
+    assert "\nmax row-sum deviation: <= 1e-12\n" in out
 
 
 def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
@@ -265,10 +267,13 @@ sys.modules["scipy"] = None          # any later scipy import fails
 d = sys.argv[1]
 with open(d + "/sig.txt", "w") as fh:
     fh.write("0.5\\n1.0\\n0.25\\n")
+with open(d + "/long.txt", "w") as fh:
+    fh.write("".join(f"{i % 7 - 3}\\n" for i in range(300)))
 for argv in (
     ["build-banks", "--order", "4", "--block-length", "4", "--max-blocks", "2",
      "--scheme", "bilinear", "--cache-dir", d],
     ["compress", d + "/sig.txt", "--order", "4", "--scheme", "backward"],
+    ["compress", d + "/long.txt", "--order", "32", "--scheme", "bilinear"],
     ["bench-table", "--seeds", "1", "--length", "64"],
     ["attn-demo", "--blocks", "2", "--cache-dir", d],
 ):

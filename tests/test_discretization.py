@@ -268,3 +268,71 @@ def test_history_kernel_matches_stepwise_recurrence(scheme):
     for k in range(1, length):
         state = sequential_update(state, signal[k:k + 1], discretize_step(op, k, scheme))
     assert np.abs(kernel @ signal - state.coefficients[:, 0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("order", [1, 4, 32])
+@pytest.mark.parametrize("k", [1, 2, 63, 1000])
+def test_input_vector_is_identity_minus_step_on_e0(scheme, order, k):
+    # A e0 = B, so every scheme's Bbar_k is (I - Abar_k) e0: the identity
+    # history_kernel's backward Euler and bilinear scan rests on
+    op = build_operator(order)
+    np.testing.assert_array_equal(op.a_matrix[:, 0], op.b_vector)
+    step = discretize_step(op, k, scheme)
+    e0 = np.eye(order)[:, 0]
+    # ZOH's Abar comes from quadrature and its Bbar from closed-form segments
+    np.testing.assert_allclose(step.b_bar, e0 - step.a_bar[:, 0], rtol=0, atol=5e-14)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_history_kernel_length_must_be_an_integer(scheme):
+    op = build_operator(4)
+    for bad in (3.5, 3.0, np.float64(3.0), True, np.True_, "3", None):
+        with pytest.raises(TypeError, match="length must be an integer"):
+            history_kernel(op, bad, scheme)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            history_kernel(op, bad, scheme)
+    np.testing.assert_array_equal(history_kernel(op, np.int64(5), scheme),
+                                  history_kernel(op, 5, scheme))
+
+
+def longdouble_state(order: int, signal: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Backward Euler or bilinear recurrence in extended precision.
+
+    The first sample is absorbed exactly as e0 f_0; each later step solves
+    (I + c A) z = y by forward substitution over the LegS rows, one scalar
+    at a time, in np.longdouble (80-bit on x86).
+    """
+    ld = np.longdouble
+    s = [np.sqrt(ld(2 * n + 1)) for n in range(order)]
+    backward = scheme is Scheme.BACKWARD_EULER
+    state = [ld(signal[0])] + [ld(0)] * (order - 1)
+    for k in range(1, len(signal)):
+        h = ld(1) / (k + 1) if backward else ld(1) / k
+        c = h if backward else h / 2
+        # backward: M x' = x + h B f; bilinear: x' = 2 M^-1 (x + (h/2) B f) - x
+        f = (h if backward else c) * ld(signal[k])
+        total = ld(0)
+        new = []
+        for n in range(order):
+            z = (state[n] + s[n] * f - c * s[n] * total) / (1 + c * (n + 1))
+            total += s[n] * z
+            new.append(z if backward else 2 * z - state[n])
+        state = new
+    return np.array(state, dtype=float)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
+@pytest.mark.parametrize("order,length", [(32, 2048), (128, 1024)])
+def test_history_kernel_against_longdouble_recurrence(scheme, order, length):
+    # an alternating input cancels neighbouring columns, so it shows rounding
+    # that differs from one column to the next
+    kernel = history_kernel(build_operator(order), length, scheme)
+    signals = {
+        "uniform": np.random.default_rng(order).uniform(-1.0, 1.0, length),
+        "alternating": (-1.0) ** np.arange(length),
+    }
+    for name, signal in signals.items():
+        err = np.abs(kernel @ signal - longdouble_state(order, signal, scheme)).max()
+        assert err <= 2e-15, (name, err)
