@@ -17,10 +17,14 @@ Abar_k are rational functions of A, so they commute. A whole-history kernel
 is therefore fixed by one vector per step, with no products of step
 matrices. ZOH has it in closed form. Backward Euler and bilinear get it from
 a scan over the steps, one state row at a time (`_scan_kernel`). Forward
-Euler's early steps amplify the high-order rows (|1 - (n+1)/k| > 1 for
-k < (n+1)/2), so that reverse-order recurrence is unstable; its kernel, and
-every bank (banks need the full transition products), stay on the
-step-matrix fold (`_fold_steps`).
+Euler has a closed form too: its step I - A/j scales mode lambda of A by
+(j - lambda)/j, so a suffix product of steps is a ratio of falling
+factorials, and the kernel comes out of discrete Chebyshev (Hahn)
+polynomials (`_hahn_kernel`). That form is used where 4(T-1) >= (N+1)^2,
+the range in which those polynomials stay bounded. Shorter forward Euler
+histories, whose early steps amplify the high-order rows
+(|1 - (n+1)/k| > 1 for k < (n+1)/2), and every bank (banks need the full
+transition products) stay on the step-matrix fold (`_fold_steps`).
 """
 
 from __future__ import annotations
@@ -79,6 +83,16 @@ class DiscreteStep:
     b_bar: np.ndarray
 
 
+def _as_index(name: str, value: object) -> int:
+    """value as a Python int; bool, floats and strings raise TypeError."""
+    try:
+        if isinstance(value, bool):  # operator.index accepts True as 1
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MemoryState:
     """N x D coefficient matrix compressing a D-channel history.
@@ -97,9 +111,11 @@ class MemoryState:
             raise ValueError(f"coefficients must be 2-D (N x D), got shape {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients contain non-finite entries")
-        if self.blocks_absorbed < 0:
+        absorbed = _as_index("blocks_absorbed", self.blocks_absorbed)
+        if absorbed < 0:
             raise ValueError("blocks_absorbed must be non-negative")
         object.__setattr__(self, "coefficients", _freeze(coeffs))
+        object.__setattr__(self, "blocks_absorbed", absorbed)
 
     @property
     def order(self) -> int:
@@ -359,8 +375,9 @@ def _fold_steps(
     them in. The chunk stack is allocated once and kept small, because it
     adds directly to peak RSS; no (steps, N, N) array is ever built. This
     fold is O(N^3) per step. `history_kernel` uses it only for forward
-    Euler, as a one-block bank; banks use it for every non-ZOH scheme,
-    because P_i is a full matrix that no vector scan yields.
+    Euler below 4(T-1) >= (N+1)^2, as a one-block bank; banks use it for
+    every non-ZOH scheme, because P_i is a full matrix that no vector scan
+    yields.
     """
     blocks, n, ell = kernels.shape
     if scheme is Scheme.ZOH:
@@ -437,6 +454,50 @@ def _scan_kernel(op: HippoOperator, scheme: Scheme, kernel: np.ndarray) -> None:
         total += s[row] * (x[:-1] if backward else 0.5 * (x[:-1] + x[1:]))
 
 
+def _hahn_kernel(kernel: np.ndarray) -> None:
+    """Fill the N x T forward Euler history kernel in closed form.
+
+    With M = T - 1 >= N, the steps I - A/j for j = a+1 .. M scale mode
+    lambda = 1 .. N of A by the falling-factorial ratio (a)_lambda/(M)_lambda,
+    where ZOH's r**A scales it by r**lambda. So u_a is `segment_coefficients`
+    at r = a/M with each r**lambda replaced by that ratio, which turns the
+    shifted Legendre P_k(2r - 1) into (-1)^k Q_k(a; 0, 0, M), a discrete
+    Chebyshev (Hahn) polynomial (Koekoek, Lesky & Swarttouw, 2010, 9.5).
+    Column 0 is exactly 0, since step j = lambda removes mode lambda. The
+    other columns come straight from the Hahn forward difference
+    Q_k(a) - Q_k(a-1) = -k(k+1)/M Q_{k-1}(a-1; 1, 1, M-1), not from
+    u_a - u_{a-1}, which cancels. With Q_n = Q_n(a-1; 1, 1, M-1):
+      K[n, a] = (-1)^n ((n+1)(n+2) Q_n - (n-1) n Q_{n-2}) / (2 M sqrt(2n+1)).
+    The Q_n follow from the three-term recurrence in the degree over
+    x = a - 1 = 0 .. M-1, A_k Q_{k+1} = (A_k + C_k - x) Q_k - C_k Q_{k-1},
+    with A_k = (k+3)(M-1-k) / (2(2k+3)) and C_k = k(k+M+2) / (2(2k+3)).
+    Each Q_n is built in kernel row n, and a last pass from the top row
+    down turns the rows into kernel rows, so nothing N x T is allocated.
+    The recurrence stays accurate while N + 1 <= 2 sqrt(M), inside the
+    classical range (degree up to 2 sqrt(M)) of bounded discrete Chebyshev
+    polynomials; the caller checks this as 4(T-1) >= (N+1)^2.
+    """
+    n, length = kernel.shape
+    m = length - 1
+    x = np.arange(float(m))
+    kernel[:, 0] = 0.0
+    q = kernel[:, 1:]
+    q[0] = 1.0
+    for k in range(n - 1):
+        a_k = (k + 3.0) * (m - 1 - k) / (2.0 * (2 * k + 3))
+        c_k = k * (k + m + 2.0) / (2.0 * (2 * k + 3))
+        np.subtract(a_k + c_k, x, out=q[k + 1])
+        q[k + 1] *= q[k]
+        if k:
+            q[k + 1] -= c_k * q[k - 1]
+        q[k + 1] /= a_k
+    for row in range(n - 1, -1, -1):
+        q[row] *= (row + 1.0) * (row + 2.0)
+        if row >= 2:
+            q[row] -= (row - 1.0) * row * q[row - 2]
+        q[row] *= (-1.0) ** row / (2.0 * m * np.sqrt(2.0 * row + 1.0))
+
+
 def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray:
     """N x length operator mapping a whole sample sequence to its final state.
 
@@ -453,21 +514,23 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form.
       Backward Euler and bilinear: `_scan_kernel` solves for the u_a row by
       row with an O(T log T) scan per row, with no step matrices.
-      Forward Euler: `_fold_steps` multiplies the step matrices. Its steps
-      amplify row n for k < (n+1)/2, so a scan of the reverse-order
-      recurrence would be unstable.
+      Forward Euler with 4(length-1) >= (N+1)^2: `_hahn_kernel`, in closed
+      form from discrete Chebyshev (Hahn) polynomials, O(N T).
+      Forward Euler below that: `_fold_steps` multiplies the step matrices.
+      There the exact kernel entries grow large (about 1e8 at N = 32,
+      length = 33), the Hahn recurrence loses digits, and the steps amplify
+      row n for k < (n+1)/2, so a scan of the reverse-order recurrence
+      would be unstable too.
     """
-    try:
-        if isinstance(length, bool):  # operator.index accepts True as 1
-            raise TypeError
-        length = operator.index(length)
-    except TypeError:
-        raise TypeError(f"length must be an integer, got {length!r}") from None
+    length = _as_index("length", length)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if scheme is Scheme.ZOH:
         seg = segment_coefficients(op, np.arange(length + 1) / length)
         kernel = (seg[1:] - seg[:-1]).T
+    elif scheme is Scheme.FORWARD_EULER and 4 * (length - 1) >= (op.order + 1) ** 2:
+        kernel = np.empty((op.order, length))
+        _hahn_kernel(kernel)
     elif scheme is Scheme.FORWARD_EULER:
         n = op.order
         kernel = np.empty((n, length))

@@ -133,6 +133,21 @@ def test_history_kernel_scan_matches_one_block_bank(scheme, order, length):
     assert np.abs(kernel[:, 0] - bank.transitions[0][:, 0]).max() <= bound
 
 
+@pytest.mark.parametrize("order,offset", [(order, offset) for order in (1, 2, 4, 16, 32)
+                                          for offset in (-1, 0, 1) if order > 1 or offset >= 0])
+def test_forward_history_kernel_matches_one_block_bank(order, offset):
+    # closed form from 4(T - 1) >= (N + 1)^2 on (offset >= 0), the step fold
+    # below it (N = 1 starts at T = 2, the shortest a bank can match); the
+    # bank always folds
+    length = 1 + -(-(order + 1) ** 2 // 4) + offset
+    op = build_operator(order)
+    kernel = history_kernel(op, length, Scheme.FORWARD_EULER)
+    bank = build_bank(op, length - 1, Scheme.FORWARD_EULER, 1)
+    bound = 1e-12 * np.abs(kernel).max()
+    assert np.abs(kernel[:, 1:] - bank.kernels[0]).max() <= bound
+    assert np.abs(kernel[:, 0] - bank.transitions[0][:, 0]).max() <= bound
+
+
 def test_bank_rejects_bad_parameters():
     op = build_operator(3)
     with pytest.raises(ValueError):

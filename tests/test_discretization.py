@@ -169,6 +169,16 @@ def test_memory_state_rejects_nonfinite():
         MemoryState(np.zeros((2, 2)), blocks_absorbed=-1)
 
 
+def test_memory_state_blocks_absorbed_must_be_an_integer():
+    # 1.5 used to pass and then fail as an IndexError in block_update; True read as block 1
+    coeffs = np.zeros((2, 1))
+    for bad in (1.5, 1.0, np.float64(1.0), True, np.True_, "1", None):
+        with pytest.raises(TypeError, match="blocks_absorbed must be an integer"):
+            MemoryState(coeffs, blocks_absorbed=bad)
+    state = MemoryState(coeffs, blocks_absorbed=np.int64(3))
+    assert state.blocks_absorbed == 3 and type(state.blocks_absorbed) is int
+
+
 def test_constant_input_converges_to_fixed_point():
     # exact-limit first sample (c * e0), then 1024 unit steps of constant input
     op = build_operator(8)
@@ -298,17 +308,28 @@ def test_history_kernel_length_must_be_an_integer(scheme):
 
 
 def longdouble_state(order: int, signal: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Backward Euler or bilinear recurrence in extended precision.
+    """Forward Euler, backward Euler or bilinear recurrence in extended precision.
 
-    The first sample is absorbed exactly as e0 f_0; each later step solves
-    (I + c A) z = y by forward substitution over the LegS rows, one scalar
-    at a time, in np.longdouble (80-bit on x86).
+    The first sample is absorbed exactly as e0 f_0. Each later forward Euler
+    step adds (B f - A x) / k, with (A x)_n = (n+1) x_n + s_n sum_{m<n} s_m x_m;
+    a backward Euler or bilinear step solves (I + c A) z = y by forward
+    substitution over the LegS rows. Both go one scalar at a time, in
+    np.longdouble (80-bit on x86).
     """
     ld = np.longdouble
     s = [np.sqrt(ld(2 * n + 1)) for n in range(order)]
     backward = scheme is Scheme.BACKWARD_EULER
     state = [ld(signal[0])] + [ld(0)] * (order - 1)
     for k in range(1, len(signal)):
+        if scheme is Scheme.FORWARD_EULER:
+            f = ld(signal[k])
+            total = ld(0)
+            new = []
+            for n in range(order):
+                new.append(state[n] + (s[n] * f - (n + 1) * state[n] - s[n] * total) / k)
+                total += s[n] * state[n]
+            state = new
+            continue
         h = ld(1) / (k + 1) if backward else ld(1) / k
         c = h if backward else h / 2
         # backward: M x' = x + h B f; bilinear: x' = 2 M^-1 (x + (h/2) B f) - x
@@ -336,3 +357,70 @@ def test_history_kernel_against_longdouble_recurrence(scheme, order, length):
     for name, signal in signals.items():
         err = np.abs(kernel @ signal - longdouble_state(order, signal, scheme)).max()
         assert err <= 2e-15, (name, err)
+
+
+@pytest.mark.parametrize("order,length", [(32, 2048), (64, 1057), (64, 1058)])
+def test_forward_history_kernel_against_longdouble_recurrence(order, length):
+    # (64, 1057) is the last length on the step fold and (64, 1058) the first
+    # in closed form; a constant input compresses to exactly e0
+    kernel = history_kernel(build_operator(order), length, Scheme.FORWARD_EULER)
+    signals = {
+        "uniform": np.random.default_rng(order).uniform(-1.0, 1.0, length),
+        "alternating": (-1.0) ** np.arange(length),
+        "constant": np.ones(length),
+    }
+    for name, signal in signals.items():
+        ref = longdouble_state(order, signal, Scheme.FORWARD_EULER)
+        err = np.abs(kernel @ signal - ref).max()
+        assert err <= 4e-15, (name, err)
+
+
+def closed_form_start(order: int) -> int:
+    """Shortest history whose forward Euler kernel is built in closed form."""
+    # the smallest T with 4 (T - 1) >= (N + 1)^2
+    return 1 + -(-(order + 1) ** 2 // 4)
+
+
+def mpmath_forward_kernel(order: int, length: int, dps: int = 60) -> np.ndarray:
+    """Forward Euler history kernel from its step recurrence in dps digits.
+
+    With u_{T-1} = e0 and u_{a-1} = (I - A/a) u_a, column a >= 1 is A u_a / a
+    and column 0 is u_0; A u costs O(N) through the LegS structure.
+    """
+    with mpmath.workdps(dps):
+        s = [mpmath.sqrt(2 * n + 1) for n in range(order)]
+        u = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (order - 1)
+        kernel = np.empty((order, length))
+        for a in range(length - 1, 0, -1):
+            total = mpmath.mpf(0)
+            au = []
+            for n in range(order):
+                au.append((n + 1) * u[n] + s[n] * total)
+                total += s[n] * u[n]
+            kernel[:, a] = [float(v / a) for v in au]
+            u = [u[n] - au[n] / a for n in range(order)]
+        kernel[:, 0] = [float(v) for v in u]
+    return kernel
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 16, 32])
+@pytest.mark.parametrize("offset", [0, 1, None])
+def test_forward_history_kernel_against_mpmath(order, offset):
+    start = closed_form_start(order)
+    length = 512 if offset is None else start + offset
+    kernel = history_kernel(build_operator(order), length, Scheme.FORWARD_EULER)
+    ref = mpmath_forward_kernel(order, length)
+    assert np.abs(kernel - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order,length", [
+    (order, length) for order in (1, 2, 4, 16, 32, 63, 64, 128)
+    for length in (closed_form_start(order), closed_form_start(order) + 1,
+                   2 * closed_form_start(order), 4162)])
+def test_forward_history_kernel_closed_form_exact_cases(order, length):
+    kernel = history_kernel(build_operator(order), length, Scheme.FORWARD_EULER)
+    # a constant input compresses to e0
+    assert np.abs(kernel @ np.ones(length) - np.eye(order)[0]).max() <= 1e-14
+    # the steps j = 1 .. N remove all N modes of A, so the first sample
+    # leaves nothing in the state
+    assert not kernel[:, 0].any()
