@@ -15,6 +15,7 @@ Two deliberate asymmetries, both load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class AttentionConfig:
     hippo_order: int
     scheme: Scheme
     strategy: SamplingStrategy
-    rope_base: float = 10000.0
+    rope_base: ClassVar[float] = 10000.0   # rotary frequency base; not a field
 
     def __post_init__(self) -> None:
         if self.model_dim != self.head_count * self.head_dim:
@@ -67,8 +68,6 @@ class AttentionConfig:
             raise ValueError("mem_length must be >= 0")
         if self.head_dim % 2:
             raise ValueError("head_dim must be even for rotary encoding")
-        if self.rope_base <= 0:
-            raise ValueError("rope_base must be positive")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ skip the N^3-scale precomputation:
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
-so that files written by older code are rebuilt rather than read.
+so that files written by older code are rebuilt rather than read (version 5:
+ZOH transitions from the per-order Gauss-Legendre node table). A read bank's
+arrays are read-only views into the file's bytes, not copies, so a read
+holds one copy of the payload; the 40-byte header keeps it 8-byte aligned.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .block_kernel import BlockKernelBank, build_bank
 from .discretization import Scheme
-from .operators import HippoOperator, _freeze
+from .operators import HippoOperator
 from .reconstruction import (
     ReconstructionBank,
     SamplingKind,
@@ -56,7 +59,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 4
+_VERSION = 5
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 
@@ -125,7 +128,7 @@ def _read(path: str, magic: bytes) -> tuple[tuple, np.ndarray]:
     if fields[1] != _VERSION:
         raise CacheError(f"cache file {path} has unsupported version {fields[1]}")
     (checksum,) = _CHECKSUM.unpack_from(data, _FIELDS.size)
-    if zlib.crc32(data[start:], zlib.crc32(data[:_FIELDS.size])) != checksum:
+    if zlib.crc32(memoryview(data)[start:], zlib.crc32(data[:_FIELDS.size])) != checksum:
         raise CacheError(f"cache file {path} failed its checksum")
     return fields, np.frombuffer(data, dtype="<f8", offset=start)
 
@@ -146,14 +149,12 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
     n_kern = max_blocks * order * block_length
     if flat.size != n_trans + n_kern:
         raise CacheError(f"cache file {path} payload size mismatch")
-    transitions = flat[:n_trans].reshape(max_blocks, order, order).copy()
-    kernels = flat[n_trans:].reshape(max_blocks, order, block_length).copy()
     return BlockKernelBank(
         block_length=block_length,
         order=order,
         scheme=_SCHEME_FROM_TAG[tag],
-        transitions=_freeze(transitions),
-        kernels=_freeze(kernels),
+        transitions=flat[:n_trans].reshape(max_blocks, order, order),
+        kernels=flat[n_trans:].reshape(max_blocks, order, block_length),
     )
 
 
@@ -175,14 +176,32 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
                 else SamplingStrategy(kind))
     if flat.size != mem_length * order:
         raise CacheError(f"cache file {path} payload size mismatch")
-    recon = flat.reshape(mem_length, order).copy()
     return ReconstructionBank(
         mem_length=mem_length,
         order=order,
         block_length=block_length,
         strategy=strategy,
-        matrices=np.broadcast_to(recon, (max_blocks, mem_length, order)),
+        matrices=np.broadcast_to(flat.reshape(mem_length, order),
+                                 (max_blocks, mem_length, order)),
     )
+
+
+def _load_or_build(path: str, read, write, build, **expected):
+    """(bank, path, cache_hit): the bank in path if it reads and has the
+    expected attribute values, else a fresh build, written to path. Callers
+    pass read_* and write_* as looked up at their own call time, so wrappers
+    patched over those module attributes see every file access."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    if os.path.exists(path):
+        try:
+            bank = read(path)
+            if all(getattr(bank, name) == value for name, value in expected.items()):
+                return bank, path, True
+        except CacheError:
+            pass
+    bank = build()
+    write(path, bank)
+    return bank, path, False
 
 
 def load_or_build_kernel_bank(
@@ -190,19 +209,11 @@ def load_or_build_kernel_bank(
     max_blocks: int,
 ) -> tuple[BlockKernelBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = kernel_bank_path(cache_dir, op.order, block_length, scheme, max_blocks)
-    if os.path.exists(path):
-        try:
-            bank = read_kernel_bank(path)
-            if (bank.order, bank.block_length, bank.scheme, bank.max_blocks) == (
-                    op.order, block_length, scheme, max_blocks):
-                return bank, path, True
-        except CacheError:
-            pass
-    bank = build_bank(op, block_length, scheme, max_blocks)
-    write_kernel_bank(path, bank)
-    return bank, path, False
+    return _load_or_build(
+        kernel_bank_path(cache_dir, op.order, block_length, scheme, max_blocks),
+        read_kernel_bank, write_kernel_bank,
+        lambda: build_bank(op, block_length, scheme, max_blocks),
+        order=op.order, block_length=block_length, scheme=scheme, max_blocks=max_blocks)
 
 
 def load_or_build_reconstruction_bank(
@@ -210,18 +221,10 @@ def load_or_build_reconstruction_bank(
     mem_length: int, block_length: int, max_blocks: int,
 ) -> tuple[ReconstructionBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = reconstruction_bank_path(cache_dir, op.order, block_length,
-                                    strategy, mem_length, max_blocks)
-    if os.path.exists(path):
-        try:
-            bank = read_reconstruction_bank(path)
-            if (bank.order, bank.block_length, bank.strategy, bank.mem_length,
-                    bank.max_blocks) == (op.order, block_length, strategy,
-                                         mem_length, max_blocks):
-                return bank, path, True
-        except CacheError:
-            pass
-    bank = build_reconstruction_bank(op, strategy, mem_length, block_length, max_blocks)
-    write_reconstruction_bank(path, bank)
-    return bank, path, False
+    return _load_or_build(
+        reconstruction_bank_path(cache_dir, op.order, block_length, strategy,
+                                 mem_length, max_blocks),
+        read_reconstruction_bank, write_reconstruction_bank,
+        lambda: build_reconstruction_bank(op, strategy, mem_length, block_length, max_blocks),
+        order=op.order, block_length=block_length, strategy=strategy,
+        mem_length=mem_length, max_blocks=max_blocks)

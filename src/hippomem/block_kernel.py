@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import MemoryState, Scheme, _check_finite, _fold_steps
-from .operators import HippoOperator, _freeze
+from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
 
@@ -46,10 +46,8 @@ def build_bank(
     op: HippoOperator, block_length: int, scheme: Scheme, max_blocks: int
 ) -> BlockKernelBank:
     """Precompute P_i and K_i for every block position i = 1 .. max_blocks."""
-    if block_length < 1:
-        raise ValueError(f"block_length must be >= 1, got {block_length}")
-    if max_blocks < 1:
-        raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
+    block_length = _as_index("block_length", block_length)
+    max_blocks = _as_index("max_blocks", max_blocks)
     n, ell = op.order, block_length
     transitions = np.empty((max_blocks, n, n))
     kernels = np.empty((max_blocks, n, ell))

@@ -30,13 +30,12 @@ transition products) stay on the step-matrix fold (`_fold_steps`).
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .operators import HippoOperator, _freeze, legendre_table
+from .operators import HippoOperator, _as_index, _freeze, legendre_table
 
 __all__ = [
     "Scheme",
@@ -83,16 +82,6 @@ class DiscreteStep:
     b_bar: np.ndarray
 
 
-def _as_index(name: str, value: object) -> int:
-    """value as a Python int; bool, floats and strings raise TypeError."""
-    try:
-        if isinstance(value, bool):  # operator.index accepts True as 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class MemoryState:
     """N x D coefficient matrix compressing a D-channel history.
@@ -111,9 +100,7 @@ class MemoryState:
             raise ValueError(f"coefficients must be 2-D (N x D), got shape {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients contain non-finite entries")
-        absorbed = _as_index("blocks_absorbed", self.blocks_absorbed)
-        if absorbed < 0:
-            raise ValueError("blocks_absorbed must be non-negative")
+        absorbed = _as_index("blocks_absorbed", self.blocks_absorbed, minimum=0)
         object.__setattr__(self, "coefficients", _freeze(coeffs))
         object.__setattr__(self, "blocks_absorbed", absorbed)
 
@@ -132,9 +119,11 @@ def zero_state(order: int, channels: int) -> MemoryState:
 
 
 @lru_cache(maxsize=32)
-def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return _freeze(nodes), _freeze(weights)
+def _gauss_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order + 2)-point Gauss-Legendre nodes y_q and weights, and P_m(y_q):
+    at x = r (y_q + 1) / 2, g_m on [0, r] is sqrt(2m+1) P_m(y_q) for every r."""
+    nodes, weights = np.polynomial.legendre.leggauss(order + 2)
+    return _freeze(nodes), _freeze(weights), _freeze(legendre_table(nodes, order))
 
 
 def transition_power(op: HippoOperator, ratio: float) -> np.ndarray:
@@ -163,25 +152,24 @@ def transition_power(op: HippoOperator, ratio: float) -> np.ndarray:
 def _transition_powers(op: HippoOperator, ratios: np.ndarray, out: np.ndarray) -> None:
     """Fill out[j] with ratios[j]**A for ratios strictly inside (0, 1).
 
-    The quadrature of `transition_power`, with one `legendre_table` call per
-    node table for all the ratios; each out[j] has the bits a one-ratio call
-    gives.
+    The quadrature of `transition_power` for all the ratios at once. The
+    inner factor comes from the per-order `_gauss_table`, so only the outer
+    one, g_n on the unit horizon at x = r (y_q + 1) / 2, takes a
+    `legendre_table` call. One stacked matmul folds every ratio's weighted
+    outer table with the inner table, and s s^T (s = B) scales the result.
+    Each out[j] has the bits a one-ratio call gives.
     """
     n = op.order
-    nodes, weights = _gauss_nodes(n + 2)
+    nodes, weights, inner = _gauss_table(n)
     r = ratios[:, None]
-    x = r * (nodes + 1.0) / 2.0
-    wx = weights * r / 2.0
-    inner = legendre_table(2.0 * x / r - 1.0, n)      # g_m support, rescaled
-    outer = legendre_table(2.0 * x - 1.0, n)          # g_n on the unit horizon
-    sq = op.b_vector                                  # sqrt(2n+1)
-    scale = np.outer(sq, sq)
-    exponents = np.arange(n) + 1.0
-    for j, ratio in enumerate(ratios.tolist()):
-        rows = slice(j * (n + 2), (j + 1) * (n + 2))
-        np.multiply((outer[rows] * wx[j, :, None]).T @ inner[rows], scale, out=out[j])
-        # diagonal is analytically ratio**(n+1); pin it to kill quadrature roundoff
-        np.fill_diagonal(out[j], ratio ** exponents)
+    outer = legendre_table(r * (nodes + 1.0) - 1.0, n).reshape(ratios.size, nodes.size, n)
+    outer *= (weights * r / 2.0)[:, :, None]
+    np.matmul(outer.transpose(0, 2, 1), inner, out=out)
+    out *= np.outer(op.b_vector, op.b_vector)
+    # the diagonal is analytically ratio**(n+1); pin it to kill quadrature
+    # roundoff. Index arrays write through any view; a reshape might copy.
+    diag = np.arange(n)
+    out[:, diag, diag] = r ** (diag + 1.0)
 
 
 def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
@@ -359,13 +347,13 @@ def _fold_steps(
     consecutive differences of `segment_coefficients` per block. Consecutive
     blocks are taken in groups of about `_GROUP_POINTS` Legendre points
     (N + 2 quadrature nodes or L + 1 segment ends per block, whichever is
-    more), so the three Legendre recurrences (inner nodes, outer nodes,
-    segment ends) run once per group, not once per block. Each block's
-    matrix power and kernel are then written straight into the caller's
-    stacks, with the same bits as `transition_power` and a one-block
-    `segment_coefficients`. Groups stay small because their node tables add
-    directly to peak RSS: building all 256 blocks of an N = 128 bank at once
-    would take two 34 MB tables.
+    more), so the two Legendre recurrences (outer nodes, segment ends) run
+    once per group, not once per block; the inner node table is built once
+    per order. Each block's matrix power and kernel are then written
+    straight into the caller's stacks, with the same bits as
+    `transition_power` and a one-block `segment_coefficients`. Groups stay
+    small because their node tables add directly to peak RSS: building all
+    256 blocks of an N = 128 bank at once would take two 34 MB tables.
 
     Other schemes walk all the steps from the last down to step 1 in chunks
     of `_CHUNK_STEPS`, across block boundaries, so short blocks share one
@@ -523,8 +511,6 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       would be unstable too.
     """
     length = _as_index("length", length)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
     if scheme is Scheme.ZOH:
         seg = segment_coefficients(op, np.arange(length + 1) / length)
         kernel = (seg[1:] - seg[:-1]).T

@@ -8,6 +8,7 @@ and evaluates the basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,22 @@ CLAMP_TOL = 1e-12
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _as_index(name: str, value: object, minimum: int = 1) -> int:
+    """value as a Python int of at least `minimum`, the one check of a size.
+
+    bool, floats and strings raise TypeError; smaller integers ValueError.
+    """
+    try:
+        if isinstance(value, bool):  # operator.index accepts True as 1
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if index < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {index}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -37,8 +54,7 @@ class HippoOperator:
 
 def build_operator(order: int) -> HippoOperator:
     """Construct the operator of the given order (number of coefficients)."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _as_index("order", order)
     n = np.arange(order)
     sq = np.sqrt(2.0 * n + 1.0)
     a = np.tril(np.outer(sq, sq), -1) + np.diag(n + 1.0)
@@ -57,8 +73,7 @@ def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     layout. Arguments within CLAMP_TOL of [-1, 1] are clamped; values beyond
     it, and NaN, are rejected.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _as_index("count", count)
     z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import MemoryState
-from .operators import HippoOperator, basis_matrix
+from .operators import HippoOperator, _as_index, basis_matrix
 
 __all__ = [
     "SamplingKind",
@@ -75,10 +75,9 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
     by nudging the earlier point down to the nearest unused coordinate, so
     the requested count is always honoured.
     """
+    count = _as_index("count", count)
     if history_length <= 0:
         raise ValueError(f"history_length must be positive, got {history_length}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     j = np.arange(count, dtype=float)
     if strategy.kind is SamplingKind.UNIFORM:
         pts = j * history_length / count
@@ -125,12 +124,9 @@ def build_reconstruction_bank(
     max_blocks: int,
 ) -> ReconstructionBank:
     """Precompute R for every history length i * block_length, i = 1..max_blocks."""
-    if mem_length < 1:
-        raise ValueError(f"mem_length must be >= 1, got {mem_length}")
-    if block_length < 1:
-        raise ValueError(f"block_length must be >= 1, got {block_length}")
-    if max_blocks < 1:
-        raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
+    mem_length = _as_index("mem_length", mem_length)
+    block_length = _as_index("block_length", block_length)
+    max_blocks = _as_index("max_blocks", max_blocks)
     recon = basis_matrix(sample_points(strategy, 1.0, mem_length), 1.0, op.order)
     return ReconstructionBank(
         mem_length=mem_length,

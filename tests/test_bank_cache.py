@@ -59,6 +59,28 @@ def test_reconstruction_bank_roundtrip(tmp_path):
     assert loaded.matrices.strides[0] == 0 and not loaded.matrices.flags.writeable
 
 
+@pytest.mark.parametrize("strategy", [None, EXP], ids=["kernel", "recon"])
+def test_read_bank_arrays_are_views_of_the_file_bytes(tmp_path, strategy):
+    op = build_operator(6)
+    if strategy is None:
+        bank = build_bank(op, 5, Scheme.ZOH, 3)
+        write_kernel_bank(str(tmp_path / "bank"), bank)
+        loaded = read_kernel_bank(str(tmp_path / "bank"))
+        pairs = [(loaded.transitions, bank.transitions), (loaded.kernels, bank.kernels)]
+    else:
+        bank = build_reconstruction_bank(op, strategy, 7, 5, 3)
+        write_reconstruction_bank(str(tmp_path / "bank"), bank)
+        loaded = read_reconstruction_bank(str(tmp_path / "bank"))
+        pairs = [(loaded.matrices[0], bank.matrices[0])]
+    for arr, built in pairs:
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+        np.testing.assert_array_equal(arr, built)
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)   # no copy of the payload was made
+
+
 def test_write_is_deterministic(tmp_path):
     op = build_operator(5)
     bank = build_bank(op, 3, Scheme.ZOH, 2)
@@ -121,7 +143,7 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             # an intact file of an older version: only the version check can reject it
             blob = bytearray(open(path, "rb").read())
             struct.pack_into("<I", blob, _VERSION_AT, version)

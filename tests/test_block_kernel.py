@@ -16,6 +16,7 @@ from hippomem import (
     transition_power,
     zero_state,
 )
+from hippomem import discretization
 from hippomem.discretization import _CHUNK_STEPS, _GROUP_POINTS
 from hippomem.rng import normals, derive
 
@@ -103,6 +104,23 @@ def test_zoh_bank_equals_per_block_quadrature_and_segments(order, ell, blocks):
         np.testing.assert_array_equal(bank.kernels[i], (seg[1:] - seg[:-1]).T)
     assert bank.transitions.strides == np.empty((blocks, order, order)).strides
     assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
+
+
+def test_zoh_bank_makes_two_legendre_tables_per_group(monkeypatch):
+    # outer quadrature nodes and segment ends; the inner node table is built
+    # once per order, on the first call
+    calls = []
+    real = discretization.legendre_table
+    monkeypatch.setattr(discretization, "legendre_table",
+                        lambda z, count: calls.append(count) or real(z, count))
+    discretization._gauss_table.cache_clear()
+    op = build_operator(32)
+    assert _GROUP_POINTS // 65 == 63  # so 70 blocks of L = 64 take 2 groups
+    build_bank(op, 64, Scheme.ZOH, 70)
+    assert len(calls) == 2 * 2 + 1
+    calls.clear()
+    build_bank(op, 64, Scheme.ZOH, 70)
+    assert len(calls) == 2 * 2
 
 
 @pytest.mark.parametrize("order", [4, 32, 128])

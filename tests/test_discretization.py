@@ -1,6 +1,8 @@
 """Discretization schemes, step matrices, and the sequential recurrence."""
 
+import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,7 +23,7 @@ from hippomem import (
     transition_power,
     zero_state,
 )
-from hippomem.discretization import _check_finite
+from hippomem.discretization import _check_finite, _transition_powers
 
 
 def test_scheme_parsing():
@@ -97,6 +99,84 @@ def test_transition_power_against_expm(order, ratio):
     power = transition_power(op, ratio)
     oracle = expm(op.a_matrix * math.log(ratio))
     assert np.abs(power - oracle).max() < 1e-12
+
+
+# Fraction bits of the fixed-point reference below: about 38 digits.
+_FIX = 128
+_ONE = 1 << _FIX
+
+
+def _fixed_legendre(z: np.ndarray, count: int) -> list[np.ndarray]:
+    """P_0..P_{count-1} at fixed-point points (object arrays of Python ints).
+
+    The Bonnet recurrence in exact integer arithmetic; each floor division
+    rounds by at most 2**-_FIX, and the recurrence is stable on [-1, 1].
+    """
+    rows = [np.full(z.size, _ONE, dtype=object), z]
+    for k in range(2, count):
+        rows.append(((2 * k - 1) * z * rows[-1] - ((k - 1) * rows[-2] << _FIX))
+                    // (k << _FIX))
+    return rows[:count]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_gauss(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order + 2)-point Gauss-Legendre nodes and weights, s_m, s_m P_m(nodes).
+
+    Fixed point with _FIX fraction bits, s_m = sqrt(2m+1). Three Newton steps
+    from numpy's nodes reach full precision; w = 2 (1 - y^2) / (q D)^2 with
+    D = y P_q(y) - P_{q-1}(y), so that P_q'(y) = q D / (y^2 - 1).
+    """
+    count = order + 2
+    guess = np.polynomial.legendre.leggauss(count)[0]
+    y = np.array([int(v * 2.0 ** 60) << (_FIX - 60) for v in guess], dtype=object)
+    for _ in range(3):
+        p_prev, p = _fixed_legendre(y, count + 1)[-2:]
+        y = y - p * ((y * y >> _FIX) - _ONE) // (count * ((y * p >> _FIX) - p_prev))
+    p_prev, p = _fixed_legendre(y, count + 1)[-2:]
+    d = (y * p >> _FIX) - p_prev
+    w = ((2 * (_ONE - (y * y >> _FIX))) << (2 * _FIX)) // (count * count * d * d)
+    s = np.array([math.isqrt((2 * m + 1) << (2 * _FIX)) for m in range(order)], dtype=object)
+    return y, w, s, np.column_stack(_fixed_legendre(y, order)) * s >> _FIX
+
+
+def fixed_point_transition_power(order: int, ratio: float) -> np.ndarray:
+    """ratio**A to float rounding, by Gauss-Legendre on [0, ratio] in fixed point.
+
+    Entry (n, m) is s_n s_m int_0^r P_n(2x - 1) P_m(2x/r - 1) dx; at the
+    nodes x = r (y + 1) / 2 the second factor is P_m(y). The upper triangle
+    is exactly zero. Integer arithmetic keeps the reference at about 38
+    digits and fast at N = 128, where mpmath's mpf took seconds per ratio.
+    """
+    y, w, s, inner = _fixed_gauss(order)
+    frac = Fraction(ratio)                     # the float's exact value
+    r = (frac.numerator << _FIX) // frac.denominator
+    outer = np.column_stack(_fixed_legendre((r * (y + _ONE) >> _FIX) - _ONE, order))
+    outer = (outer * s >> _FIX) * (w * r >> (_FIX + 1))[:, None] >> _FIX
+    power = np.zeros((order, order))
+    for n in range(order):
+        power[n, :n + 1] = [v / _ONE ** 2 for v in outer[:, n].dot(inner[:, :n + 1])]
+    return power
+
+
+@pytest.mark.parametrize("order", [8, 32, 128])
+@pytest.mark.parametrize("ratio", [0.3, 63 / 64, 16321 / 16385])
+def test_transition_power_against_fixed_point_quadrature(order, ratio):
+    # beyond the expm oracle's range; 16321/16385 is the last block of an
+    # N = 128, L = 64, 256-block bank. The worst error is about 5.6e-14 (N = 128).
+    power = transition_power(build_operator(order), ratio)
+    assert np.abs(power - fixed_point_transition_power(order, ratio)).max() < 1e-13
+
+
+def test_transition_powers_pin_the_diagonal_of_a_strided_out():
+    # the diagonal pin must write through a non-contiguous out view
+    op = build_operator(6)
+    ratios = np.array([0.25, 0.5, 63 / 64])
+    out = np.zeros((3, 7, 7))[:, :6, :6]  # its reshape to (3, 36) would copy
+    _transition_powers(op, ratios, out)
+    for power, ratio in zip(out, ratios):
+        np.testing.assert_allclose(power, transition_power(op, ratio), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(np.diag(power), ratio ** np.arange(1.0, 7.0))
 
 
 def test_transition_power_limits():

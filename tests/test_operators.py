@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+import hippomem
 from hippomem import basis_matrix, build_operator, legendre_table
 
 
@@ -173,3 +174,31 @@ def test_constant_signal_is_ode_fixed_point():
     c_star[0] = f
     residual = -op.a_matrix @ c_star + op.b_vector * f
     assert np.abs(residual).max() < 1e-12
+
+
+
+_UNIFORM = hippomem.SamplingStrategy(hippomem.SamplingKind.UNIFORM)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("order", lambda v: build_operator(v).order, id="build_operator-order"),
+    pytest.param("block_length", lambda v: hippomem.build_bank(
+        build_operator(3), v, hippomem.Scheme.ZOH, 2).block_length, id="build_bank-block_length"),
+    pytest.param("max_blocks", lambda v: hippomem.build_bank(
+        build_operator(3), 2, hippomem.Scheme.ZOH, v).max_blocks, id="build_bank-max_blocks"),
+    pytest.param("mem_length", lambda v: hippomem.build_reconstruction_bank(
+        build_operator(3), _UNIFORM, v, 2, 2).mem_length, id="recon-mem_length"),
+    pytest.param("block_length", lambda v: hippomem.build_reconstruction_bank(
+        build_operator(3), _UNIFORM, 2, v, 2).block_length, id="recon-block_length"),
+    pytest.param("max_blocks", lambda v: hippomem.build_reconstruction_bank(
+        build_operator(3), _UNIFORM, 2, 2, v).max_blocks, id="recon-max_blocks"),
+    pytest.param("count", lambda v: hippomem.sample_points(_UNIFORM, 10.0, v).size,
+                 id="sample_points-count"),
+])
+def test_public_sizes_must_be_integers(name, call):
+    # call(v) returns what the call keeps of size v
+    for bad in (2.5, 4.0, True, "4", None):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            call(bad)
+    size = call(np.int64(4))
+    assert size == 4 and type(size) is int
