@@ -22,6 +22,7 @@ import numpy as np
 from . import rng
 from .block_kernel import BlockKernelBank, block_update
 from .discretization import MemoryState, Scheme
+from .operators import _as_index
 from .reconstruction import ReconstructionBank, SamplingStrategy, retrieve
 
 __all__ = [
@@ -54,18 +55,16 @@ class AttentionConfig:
     rope_base: ClassVar[float] = 10000.0   # rotary frequency base; not a field
 
     def __post_init__(self) -> None:
+        # mem_length 0 turns retrieval off, leaving plain causal attention
+        minimums = dict(model_dim=1, head_count=1, head_dim=1, block_length=1,
+                        mem_length=0, hippo_order=1)
+        for name, minimum in minimums.items():
+            object.__setattr__(self, name, _as_index(name, getattr(self, name), minimum))
         if self.model_dim != self.head_count * self.head_dim:
             raise ValueError(
                 f"model_dim {self.model_dim} != head_count {self.head_count} "
                 f"* head_dim {self.head_dim}"
             )
-        for name in ("model_dim", "head_count", "head_dim", "block_length", "hippo_order"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # mem_length 0 disables retrieval and reduces the block to plain
-        # causal attention
-        if self.mem_length < 0:
-            raise ValueError("mem_length must be >= 0")
         if self.head_dim % 2:
             raise ValueError("head_dim must be even for rotary encoding")
 
@@ -106,8 +105,7 @@ class BlockIO:
     block_index: int
 
     def __post_init__(self) -> None:
-        if self.block_index < 1:
-            raise ValueError("block_index must be >= 1")
+        object.__setattr__(self, "block_index", _as_index("block_index", self.block_index))
         expected = self.block_index - 1
         if (self.key_state.blocks_absorbed != expected
                 or self.value_state.blocks_absorbed != expected):
@@ -133,10 +131,8 @@ def build_trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
     Memory columns are visible to every query; in-block columns are causal
     (column position <= query position).
     """
-    if block_length < 1:
-        raise ValueError("block_length must be >= 1")
-    if mem_length < 0:
-        raise ValueError("mem_length must be >= 0")
+    block_length = _as_index("block_length", block_length)
+    mem_length = _as_index("mem_length", mem_length, minimum=0)
     mask = np.zeros((block_length, mem_length + block_length))
     p = np.arange(block_length)[:, None]
     q = np.arange(block_length)[None, :]
@@ -178,6 +174,11 @@ def _heads(mat: np.ndarray, head_count: int, head_dim: int) -> np.ndarray:
     return mat.reshape(length, head_count, head_dim).transpose(1, 0, 2)
 
 
+def _require_match(what: str, have, config_field: str, want) -> None:
+    if have != want:
+        raise ValueError(f"{what} {have!r} != config {config_field} {want!r}")
+
+
 def forward_block(
     io: BlockIO,
     weights: AttentionWeights,
@@ -190,20 +191,23 @@ def forward_block(
     Block 1 sees no memory rows (nothing absorbed yet); with mem_length 0 the
     block is plain causal self-attention. State updates happen after the
     attention read, so a block never attends to its own compression. The
-    kernel bank must use cfg.scheme and the reconstruction bank, if any,
-    cfg.strategy.
+    kernel bank must match cfg's scheme, hippo_order and block_length, and
+    the reconstruction bank, if any, cfg's strategy and mem_length.
     """
     hidden = np.asarray(io.hidden, dtype=float)
     ell, h, dh = cfg.block_length, cfg.head_count, cfg.head_dim
     if hidden.shape != (ell, cfg.model_dim):
         raise ValueError(f"hidden shape {hidden.shape} != ({ell}, {cfg.model_dim})")
     # the banks decide what is computed; a config naming other ones is an error
-    if kernel_bank.scheme is not cfg.scheme:
-        raise ValueError(f"kernel bank scheme {kernel_bank.scheme.value!r} != "
-                         f"config scheme {cfg.scheme.value!r}")
-    if recon_bank is not None and recon_bank.strategy != cfg.strategy:
-        raise ValueError(f"reconstruction bank strategy {recon_bank.strategy.label()!r} "
-                         f"!= config strategy {cfg.strategy.label()!r}")
+    _require_match("kernel bank scheme", kernel_bank.scheme.value, "scheme", cfg.scheme.value)
+    _require_match("kernel bank order", kernel_bank.order, "hippo_order", cfg.hippo_order)
+    _require_match("kernel bank block_length", kernel_bank.block_length,
+                   "block_length", cfg.block_length)
+    if recon_bank is not None:
+        _require_match("reconstruction bank strategy", recon_bank.strategy.label(),
+                       "strategy", cfg.strategy.label())
+        _require_match("reconstruction bank mem_length", recon_bank.mem_length,
+                       "mem_length", cfg.mem_length)
     use_memory = cfg.mem_length > 0 and io.block_index > 1
     if use_memory and recon_bank is None:
         raise ValueError("mem_length > 0 and history present, but no reconstruction bank")

@@ -10,7 +10,7 @@ skip the N^3-scale precomputation:
     tag        u32      scheme tag (EMKB) or strategy tag (EMRB)
     max_blocks u32
     mem_length u32      0 for EMKB
-    decay      f64      0.0 for EMKB
+    decay      f64      0.0 for EMKB; the strategy's decay for EMRB
     checksum   u32      crc32 of the fields above, then the payload
     payload    row-major f64 matrices in index order
                EMKB: all P_i, then all K_i
@@ -160,10 +160,9 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
 
 def write_reconstruction_bank(path: str, bank: ReconstructionBank) -> int:
     """Serialize a reconstruction bank; returns bytes written."""
-    decay = bank.strategy.decay if bank.strategy.kind is SamplingKind.EXPONENTIAL else 0.0
     return _write(path, _MAGIC_RECON, bank.order, bank.block_length,
                   _STRATEGY_TAGS[bank.strategy.kind], bank.max_blocks,
-                  bank.mem_length, decay, [bank.matrices[0]])
+                  bank.mem_length, bank.strategy.decay, [bank.matrices[0]])
 
 
 def read_reconstruction_bank(path: str) -> ReconstructionBank:
@@ -171,16 +170,13 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
     _, _, order, block_length, tag, max_blocks, mem_length, decay = fields
     if tag not in _STRATEGY_FROM_TAG:
         raise CacheError(f"cache file {path} has unknown strategy tag {tag}")
-    kind = _STRATEGY_FROM_TAG[tag]
-    strategy = (SamplingStrategy(kind, decay) if kind is SamplingKind.EXPONENTIAL
-                else SamplingStrategy(kind))
     if flat.size != mem_length * order:
         raise CacheError(f"cache file {path} payload size mismatch")
     return ReconstructionBank(
         mem_length=mem_length,
         order=order,
         block_length=block_length,
-        strategy=strategy,
+        strategy=SamplingStrategy(_STRATEGY_FROM_TAG[tag], decay),
         matrices=np.broadcast_to(flat.reshape(mem_length, order),
                                  (max_blocks, mem_length, order)),
     )

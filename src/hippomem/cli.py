@@ -50,13 +50,6 @@ class UsageError(ValueError):
     """Bad parameters; maps to exit code 2."""
 
 
-def _strategy(name: str, alpha: float) -> SamplingStrategy:
-    kind = SamplingKind(name)
-    if kind is SamplingKind.EXPONENTIAL:
-        return SamplingStrategy(kind, alpha)
-    return SamplingStrategy(kind)
-
-
 def _summary(payload: dict) -> None:
     print("SUMMARY " + json.dumps(payload))
 
@@ -113,7 +106,7 @@ def _cmd_build_banks(args: argparse.Namespace) -> int:
         raise UsageError(f"--max-blocks must be >= 1, got {args.max_blocks}")
     op = build_operator(args.order)
     scheme = Scheme(args.scheme)
-    strategy = _strategy(args.strategy, args.alpha)
+    strategy = SamplingStrategy(SamplingKind(args.strategy), args.alpha)
     cache_dir = args.cache_dir
 
     started = time.perf_counter()
@@ -150,7 +143,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.input}: need at least 2 rows, got {length}")
     op = build_operator(args.order)
     scheme = Scheme(args.scheme)
-    strategy = _strategy(args.strategy, args.alpha)
+    strategy = SamplingStrategy(SamplingKind(args.strategy), args.alpha)
     mem_length = min(64, length) if args.mem_length is None else args.mem_length
     if mem_length < 1:
         raise UsageError(f"--mem-length must be >= 1, got {mem_length}")
@@ -267,8 +260,8 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     train_name = args.train_strategy or args.strategy
     eval_name = args.eval_strategy or train_name
-    train_strategy = _strategy(train_name, args.alpha)
-    eval_strategy = _strategy(eval_name, args.alpha)
+    train_strategy = SamplingStrategy(SamplingKind(train_name), args.alpha)
+    eval_strategy = SamplingStrategy(SamplingKind(eval_name), args.alpha)
     cfg = AttentionConfig(
         model_dim=args.heads * args.head_dim,
         head_count=args.heads,

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import HippoOperator, _as_index, _freeze, legendre_table
+from .operators import HippoOperator, _as_index, _fold_case, _freeze, legendre_table
 
 __all__ = [
     "Scheme",
@@ -62,12 +62,7 @@ class Scheme(enum.Enum):
 
     @classmethod
     def _missing_(cls, value: object) -> "Scheme":
-        # the constructor folds case: Scheme("ZOH") is Scheme.ZOH
-        for member in cls:
-            if member.value == str(value).lower():
-                return member
-        raise ValueError(f"unknown scheme {value!r}; expected one of "
-                         f"{[m.value for m in cls]}")
+        return _fold_case(cls, value, "scheme")
 
 
 class InstabilityError(ValueError):
@@ -248,8 +243,7 @@ def discretize_interval(
 
 def discretize_step(op: HippoOperator, k: int, scheme: Scheme) -> DiscreteStep:
     """Step matrices for unit step k (covering [k, k+1]); requires k >= 1."""
-    if k < 1:
-        raise ValueError(f"step index must be >= 1, got {k}")
+    k = _as_index("k", k)
     a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
     return DiscreteStep(a_bar=_freeze(a_bar), b_bar=_freeze(b_bar))
 

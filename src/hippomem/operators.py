@@ -39,6 +39,14 @@ def _as_index(name: str, value: object, minimum: int = 1) -> int:
     return index
 
 
+def _fold_case(cls, value: object, noun: str):
+    """The `_missing_` of the string enums: Scheme("ZOH") is Scheme.ZOH."""
+    for member in cls:
+        if member.value == str(value).lower():
+            return member
+    raise ValueError(f"unknown {noun} {value!r}; expected one of {[m.value for m in cls]}")
+
+
 @dataclass(frozen=True)
 class HippoOperator:
     """Fixed (A, B) pair of the scaled-Legendre state system.

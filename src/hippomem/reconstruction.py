@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import MemoryState
-from .operators import HippoOperator, _as_index, basis_matrix
+from .operators import HippoOperator, _as_index, _fold_case, basis_matrix
 
 __all__ = [
     "SamplingKind",
@@ -41,28 +41,32 @@ class SamplingKind(enum.Enum):
 
     @classmethod
     def _missing_(cls, value: object) -> "SamplingKind":
-        # the constructor folds case: SamplingKind("Uniform") is UNIFORM
-        for member in cls:
-            if member.value == str(value).lower():
-                return member
-        raise ValueError(f"unknown sampling strategy {value!r}; expected one of "
-                         f"{[m.value for m in cls]}")
+        return _fold_case(cls, value, "sampling strategy")
 
 
 @dataclass(frozen=True)
 class SamplingStrategy:
-    """Where in the history window the reconstruction samples fall."""
+    """Where in the history window the reconstruction samples fall.
+
+    Only EXPONENTIAL uses the decay, which must lie in (0, 1). UNIFORM
+    stores DEFAULT_DECAY whatever decay it is given, so all uniform
+    strategies are equal. `label()` writes the decay with repr, which
+    round-trips: two strategies share a label (and a cache file name)
+    exactly when they are equal.
+    """
 
     kind: SamplingKind
-    decay: float = DEFAULT_DECAY  # used only by EXPONENTIAL
+    decay: float = DEFAULT_DECAY
 
     def __post_init__(self) -> None:
-        if self.kind is SamplingKind.EXPONENTIAL and not 0.0 < self.decay < 1.0:
+        if self.kind is SamplingKind.UNIFORM:
+            object.__setattr__(self, "decay", DEFAULT_DECAY)
+        elif not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must be in (0, 1), got {self.decay}")
 
     def label(self) -> str:
         if self.kind is SamplingKind.EXPONENTIAL:
-            return f"exponential{self.decay:g}"
+            return f"exponential{float(self.decay)!r}"
         return self.kind.value
 
 

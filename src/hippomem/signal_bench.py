@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .discretization import Scheme, history_kernel
-from .operators import basis_matrix, build_operator
+from .operators import _as_index, basis_matrix, build_operator
 
 __all__ = [
     "SignalKind",
@@ -64,10 +64,10 @@ class SignalSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.length < 2:
-            raise ValueError(f"length must be >= 2, got {self.length}")
-        if self.kind is SignalKind.SINE_COMPOSITE and self.component_count < 1:
-            raise ValueError("component_count must be >= 1 for sine signals")
+        object.__setattr__(self, "length", _as_index("length", self.length, minimum=2))
+        least = 1 if self.kind is SignalKind.SINE_COMPOSITE else 0  # noise has none
+        object.__setattr__(self, "component_count",
+                           _as_index("component_count", self.component_count, least))
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def run_table(
     unless `include_timing` is set: timing varies run to run, and reports
     must be byte-identical for identical seeds.
     """
-    if seed_count < 1:
-        raise ValueError("seed_count must be >= 1")
+    seed_count = _as_index("seed_count", seed_count)
     rows: list[TableRow] = []
     for kind, n_comp, order, scheme in standard_rows():
         mses = []

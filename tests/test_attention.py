@@ -341,6 +341,17 @@ def test_forward_rejects_banks_the_config_does_not_name():
     cfg90 = make_config(strategy=exp90)
     with pytest.raises(ValueError, match="'exponential0.95' != config strategy 'exponential0.9'"):
         forward_block(io, weights, cfg90, kernel, recon95)
+    # N=8 banks and states under a config that names N=16
+    kernel8, recon8 = make_banks(make_config(hippo_order=8))
+    io8 = BlockIO(io.hidden, zero_state(8, cfg.model_dim), zero_state(8, cfg.model_dim), 1)
+    with pytest.raises(ValueError, match="kernel bank order 8 != config hippo_order 16"):
+        forward_block(io8, weights, cfg, kernel8, recon8)
+    kernel4, _ = make_banks(make_config(block_length=4))
+    with pytest.raises(ValueError, match="kernel bank block_length 4 != config block_length 8"):
+        forward_block(io, weights, cfg, kernel4, recon)
+    _, recon2 = make_banks(make_config(mem_length=2))
+    with pytest.raises(ValueError, match="reconstruction bank mem_length 2 != config mem_length 4"):
+        forward_block(io, weights, cfg, kernel, recon2)
     # with retrieval off there is no reconstruction bank to check
     off = make_config(mem_length=0)
     forward_block(fresh_io(off, io.hidden), weights, off, kernel, None)

@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from hippomem import (
+    AttentionConfig,
+    BlockIO,
     SamplingKind,
     SamplingStrategy,
     Scheme,
     build_bank,
     build_operator,
     build_reconstruction_bank,
+    forward_block,
+    init_weights,
+    zero_state,
 )
 from hippomem.bank_cache import (
     CacheError,
@@ -140,18 +145,23 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
     assert hit
 
 
+def _rewrite_header(path, fmt, offset, value):
+    """Set one header field of an intact file and re-seal its checksum."""
+    blob = bytearray(open(path, "rb").read())
+    struct.pack_into(fmt, blob, offset, value)
+    payload_at = _CHECKSUM_AT + 4
+    struct.pack_into("<I", blob, _CHECKSUM_AT,
+                     zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
         for version in (1, 2, 3, 4):
             # an intact file of an older version: only the version check can reject it
-            blob = bytearray(open(path, "rb").read())
-            struct.pack_into("<I", blob, _VERSION_AT, version)
-            payload_at = _CHECKSUM_AT + 4
-            struct.pack_into("<I", blob, _CHECKSUM_AT,
-                             zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
-            with open(path, "wb") as fh:
-                fh.write(blob)
+            _rewrite_header(path, "<I", _VERSION_AT, version)
             _, _, hit = _load_or_build(tmp_path, strategy)
             assert not hit
             _, _, hit = _load_or_build(tmp_path, strategy)
@@ -174,6 +184,40 @@ def test_reconstruction_cache_hit_cycle(tmp_path):
     # different parameters get a different file, not a clash
     _, _, hit3 = load_or_build_reconstruction_bank(str(tmp_path), op, EXP, 5, 8, 2)
     assert not hit3
+
+
+def test_strategy_identity_decides_equality_cache_hits_and_forward(tmp_path):
+    # a uniform strategy ignores its decay: one strategy, one label, one file
+    uniform_half = SamplingStrategy(SamplingKind.UNIFORM, 0.5)
+    assert uniform_half == UNIFORM and hash(uniform_half) == hash(UNIFORM)
+    assert uniform_half.label() == "uniform"
+    op = build_operator(4)
+
+    def hits(strategies):
+        return [load_or_build_reconstruction_bank(str(tmp_path), op, s, 4, 8, 2)[2]
+                for s in strategies]
+
+    assert hits([uniform_half] * 3) == [False, True, True]
+    # a uniform file from before decay was stored for UNIFORM (field 0.0) still hits
+    path = load_or_build_reconstruction_bank(str(tmp_path), op, UNIFORM, 4, 8, 2)[1]
+    _rewrite_header(path, "<d", _DECAY_AT, 0.0)
+    assert hits([UNIFORM]) == [True]
+    # decays that print alike at 6 digits are two strategies with two files
+    near = [SamplingStrategy(SamplingKind.EXPONENTIAL, d) for d in (0.95, 0.9500001)]
+    assert near[0] != near[1] and near[0].label() != near[1].label()
+    assert hits(near * 2) == [False, False, True, True]
+    # forward_block takes a uniform bank built with another decay
+    cfg = AttentionConfig(model_dim=4, head_count=1, head_dim=4, block_length=2,
+                          mem_length=2, hippo_order=4, scheme=Scheme.ZOH, strategy=UNIFORM)
+    kernel = build_bank(op, 2, Scheme.ZOH, 2)
+    recon = build_reconstruction_bank(op, uniform_half, 2, 2, 2)
+    weights = init_weights(cfg, 0)
+    key_state = value_state = zero_state(4, 4)
+    for index in (1, 2):    # block 2 reads the memory through the bank
+        io = BlockIO(np.ones((2, 4)), key_state, value_state, index)
+        res = forward_block(io, weights, cfg, kernel, recon)
+        key_state, value_state = res.key_state, res.value_state
+    assert res.memory_keys.shape == (2, 4)
 
 
 def test_interleaved_writers_of_one_bank_both_succeed(tmp_path, monkeypatch):

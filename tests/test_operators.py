@@ -9,6 +9,7 @@ from scipy.special import eval_legendre
 
 import hippomem
 from hippomem import basis_matrix, build_operator, legendre_table
+from hippomem.rng import derive
 
 
 def legendre(n: int, z: float) -> float:
@@ -178,6 +179,32 @@ def test_constant_signal_is_ode_fixed_point():
 
 
 _UNIFORM = hippomem.SamplingStrategy(hippomem.SamplingKind.UNIFORM)
+_SINE = hippomem.SignalKind.SINE_COMPOSITE
+
+
+def _config(**sizes):
+    params = dict(model_dim=4, head_count=2, head_dim=2, block_length=2, mem_length=2,
+                  hippo_order=2, scheme=hippomem.Scheme.ZOH, strategy=_UNIFORM)
+    return hippomem.AttentionConfig(**{**params, **sizes})
+
+
+def _block_io(block_index):
+    state = hippomem.MemoryState(np.zeros((2, 1)), blocks_absorbed=3)
+    return hippomem.BlockIO(np.zeros((2, 1)), state, state, block_index)
+
+
+def _zoh_step_index(k):
+    # a step keeps no index, but its ZOH transition (k / (k+1))**A does
+    a = hippomem.discretize_step(build_operator(1), k, hippomem.Scheme.ZOH).a_bar[0, 0]
+    return round(1.0 / (1.0 - a)) - 1
+
+
+def _table_seed_count(seed_count):
+    # run_table keeps no count: find how many seeds its first row averages
+    mse = hippomem.run_table(seed_count=seed_count, length=16)[0].mse
+    specs = [hippomem.SignalSpec(_SINE, 1, 16, seed=derive(0, 0, rep)) for rep in range(8)]
+    mses = [hippomem.run_benchmark(spec, 32, hippomem.Scheme.ZOH).mse for spec in specs]
+    return next(k for k in range(1, 9) if float(np.mean(mses[:k])) == mse)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -194,6 +221,30 @@ _UNIFORM = hippomem.SamplingStrategy(hippomem.SamplingKind.UNIFORM)
         build_operator(3), _UNIFORM, 2, 2, v).max_blocks, id="recon-max_blocks"),
     pytest.param("count", lambda v: hippomem.sample_points(_UNIFORM, 10.0, v).size,
                  id="sample_points-count"),
+    pytest.param("model_dim", lambda v: _config(model_dim=v, head_count=1, head_dim=4).model_dim,
+                 id="config-model_dim"),
+    pytest.param("head_count", lambda v: _config(model_dim=8, head_count=v).head_count,
+                 id="config-head_count"),
+    pytest.param("head_dim", lambda v: _config(head_count=1, head_dim=v).head_dim,
+                 id="config-head_dim"),
+    pytest.param("block_length", lambda v: _config(block_length=v).block_length,
+                 id="config-block_length"),
+    pytest.param("mem_length", lambda v: _config(mem_length=v).mem_length,
+                 id="config-mem_length"),
+    pytest.param("hippo_order", lambda v: _config(hippo_order=v).hippo_order,
+                 id="config-hippo_order"),
+    pytest.param("block_index", lambda v: _block_io(v).block_index, id="BlockIO-block_index"),
+    pytest.param("block_length", lambda v: hippomem.build_trapezoidal_mask(v, 2).shape[0],
+                 id="mask-block_length"),
+    pytest.param("mem_length", lambda v: hippomem.build_trapezoidal_mask(2, v).shape[1] - 2,
+                 id="mask-mem_length"),
+    pytest.param("k", _zoh_step_index, id="discretize_step-k"),
+    pytest.param("length", lambda v: hippomem.SignalSpec(_SINE, 1, v, seed=0).length,
+                 id="SignalSpec-length"),
+    pytest.param("component_count",
+                 lambda v: hippomem.SignalSpec(_SINE, v, 16, seed=0).component_count,
+                 id="SignalSpec-component_count"),
+    pytest.param("seed_count", _table_seed_count, id="run_table-seed_count"),
 ])
 def test_public_sizes_must_be_integers(name, call):
     # call(v) returns what the call keeps of size v
