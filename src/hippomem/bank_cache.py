@@ -133,6 +133,15 @@ def _read(path: str, magic: bytes) -> tuple[tuple, np.ndarray]:
     return fields, np.frombuffer(data, dtype="<f8", offset=start)
 
 
+def _from_header(path: str, build):
+    """build(), with a ValueError or TypeError from header fields that an
+    intact file cannot hold (a decay of 1.5) a CacheError: it is rebuilt."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise CacheError(f"cache file {path} has invalid header fields: {exc}") from exc
+
+
 def write_kernel_bank(path: str, bank: BlockKernelBank) -> int:
     """Serialize a kernel bank; returns bytes written."""
     return _write(path, _MAGIC_KERNEL, bank.order, bank.block_length,
@@ -149,13 +158,13 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
     n_kern = max_blocks * order * block_length
     if flat.size != n_trans + n_kern:
         raise CacheError(f"cache file {path} payload size mismatch")
-    return BlockKernelBank(
+    return _from_header(path, lambda: BlockKernelBank(
         block_length=block_length,
         order=order,
         scheme=_SCHEME_FROM_TAG[tag],
         transitions=flat[:n_trans].reshape(max_blocks, order, order),
         kernels=flat[n_trans:].reshape(max_blocks, order, block_length),
-    )
+    ))
 
 
 def write_reconstruction_bank(path: str, bank: ReconstructionBank) -> int:
@@ -172,14 +181,14 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
         raise CacheError(f"cache file {path} has unknown strategy tag {tag}")
     if flat.size != mem_length * order:
         raise CacheError(f"cache file {path} payload size mismatch")
-    return ReconstructionBank(
+    return _from_header(path, lambda: ReconstructionBank(
         mem_length=mem_length,
         order=order,
         block_length=block_length,
         strategy=SamplingStrategy(_STRATEGY_FROM_TAG[tag], decay),
         matrices=np.broadcast_to(flat.reshape(mem_length, order),
                                  (max_blocks, mem_length, order)),
-    )
+    ))
 
 
 def _load_or_build(path: str, read, write, build, **expected):

@@ -15,16 +15,17 @@ and `history_kernel` use.
 Under every scheme Bbar_k = (I - Abar_k) e0, because A e0 = B, and the
 Abar_k are rational functions of A, so they commute. A whole-history kernel
 is therefore fixed by one vector per step, with no products of step
-matrices. ZOH has it in closed form. Backward Euler and bilinear get it from
-a scan over the steps, one state row at a time (`_scan_kernel`). Forward
-Euler has a closed form too: its step I - A/j scales mode lambda of A by
-(j - lambda)/j, so a suffix product of steps is a ratio of falling
-factorials, and the kernel comes out of discrete Chebyshev (Hahn)
-polynomials (`_hahn_kernel`). That form is used where 4(T-1) >= (N+1)^2,
-the range in which those polynomials stay bounded. Shorter forward Euler
-histories, whose early steps amplify the high-order rows
-(|1 - (n+1)/k| > 1 for k < (n+1)/2), and every bank (banks need the full
-transition products) stay on the step-matrix fold (`_fold_steps`).
+matrices. ZOH has it in closed form. The Euler steps scale mode lambda of A
+by (j - lambda)/j (forward) or (j+1)/(j+1+lambda) (backward), so a suffix
+product of steps is a ratio of falling or rising factorials, and both
+kernels come out of discrete Chebyshev (Hahn) polynomials (`_hahn_kernel`).
+Forward Euler uses that form where 4(T-1) >= (N+1)^2, the range in which
+those polynomials stay bounded; backward Euler at every size. Bilinear gets
+its kernel from a scan over the steps, one state row at a time
+(`_scan_kernel`). Shorter forward Euler histories, whose early steps
+amplify the high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), and every
+bank (banks need the full transition products) stay on the step-matrix
+fold (`_fold_steps`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import HippoOperator, _as_index, _fold_case, _freeze, legendre_table
+from .operators import (
+    HippoOperator, _as_index, _fold_case, _freeze, _legendre_rows, legendre_table,
+)
 
 __all__ = [
     "Scheme",
@@ -174,17 +177,22 @@ def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
     psi_0(r) = r and psi_n(r) = (P_{n+1}(2r-1) - P_{n-1}(2r-1)) / (2 sqrt(2n+1)).
     Consecutive differences of these rows are the zero-order-hold kernel
     columns, which is what makes whole-history compression a single matmul.
+    A transposed copy of `_segment_rows`, which kernels difference directly.
     """
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
     if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
         raise ValueError("ratios must lie in [0, 1]")
+    return _segment_rows(op, ratios).T.copy()
+
+
+def _segment_rows(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
+    """psi_0 .. psi_{N-1} of `segment_coefficients` as (N, ratios.size) rows."""
     n = op.order
-    table = legendre_table(2.0 * ratios - 1.0, n + 1)
-    out = np.empty((ratios.size, n))
-    out[:, 0] = ratios
-    if n > 1:
-        idx = np.arange(1, n)
-        out[:, 1:] = (table[:, 2:n + 1] - table[:, 0:n - 1]) / (2.0 * np.sqrt(2.0 * idx + 1.0))
+    table = _legendre_rows(2.0 * ratios - 1.0, n + 1)
+    out = np.empty((n, ratios.size))
+    out[0] = ratios
+    np.subtract(table[2:], table[:n - 1], out=out[1:])
+    out[1:] /= (2.0 * np.sqrt(2.0 * np.arange(1, n) + 1.0))[:, None]
     return out
 
 
@@ -370,8 +378,9 @@ def _fold_steps(
             start, horizon = i * ell + 1, (i + 1) * ell + 1
             _transition_powers(op, start / horizon, transitions[first:last])
             points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
-            seg = segment_coefficients(op, points.ravel()).reshape(last - first, ell + 1, n)
-            np.subtract(seg[:, 1:], seg[:, :-1], out=kernels[first:last].transpose(0, 2, 1))
+            seg = _segment_rows(op, points.ravel()).reshape(n, last - first, ell + 1)
+            out = kernels[first:last].transpose(1, 0, 2)
+            np.subtract(seg[..., 1:], seg[..., :-1], out=out)
         return
     transitions[:] = np.eye(n)  # the empty product, kept when L = 0
     size = min(_CHUNK_STEPS, blocks * ell)
@@ -391,36 +400,33 @@ def _fold_steps(
                 transitions[block] = prod
 
 
-def _scan_kernel(op: HippoOperator, scheme: Scheme, kernel: np.ndarray) -> None:
-    """Fill the N x T backward Euler or bilinear history kernel row by row.
+def _scan_kernel(op: HippoOperator, kernel: np.ndarray) -> None:
+    """Fill the N x T bilinear history kernel row by row.
 
-    Column 0 is u_0 and column a >= 1 is h_a M_a^-1 A u_a, where
-    u_{T-1} = e0 and u_{a-1} = Abar_a u_a (see `history_kernel`). Solving
-    M_a z = u_a by forward substitution, row n of z needs only
-    S_n = sum_{m<n} s_m z_m from the rows above it. So once those rows are
-    done, row n of every u_a follows from one scalar recurrence over the
-    steps, x_{a-1} = p_a x_a + q_a, with d = 1 + c_a (n+1):
-      backward Euler: p = 1/d,             q = -c s_n S_n / d    (u_{a-1} = z);
-      bilinear:       p = (1 - c (n+1))/d, q = -2 c s_n S_n / d  (u_{a-1} = 2z - u_a).
-    A Hillis-Steele scan solves it for all steps in log2(T) passes. It
-    composes (p, q) pairs and never divides, so p = 0 is safe. Row n of the
-    kernel is h_a ((n+1) x_a + s_n S_n) / d, which is (h_a M_a^-1 A u_a)[n].
-    The same column written as u_a - u_{a-1} cancels: against a longdouble
-    recurrence it measured 10-50x less accurate.
+    Column 0 is u_0 and column a >= 1 is h_a M_a^-1 A u_a, where u_{T-1} = e0,
+    u_{a-1} = Abar_a u_a = 2 M_a^-1 u_a - u_a, h_a = 1/a, c = h_a/2 and
+    M_a = I + c A (see `history_kernel`). Solving M_a z = u_a by forward
+    substitution, row n of z needs only S_n = sum_{m<n} s_m z_m from the rows
+    above it. So once those rows are done, row n of every u_a follows from
+    one scalar recurrence over the steps, x_{a-1} = p_a x_a + q_a, with
+    d = 1 + c (n+1), p = (1 - c (n+1))/d and q = -2 c s_n S_n / d. A
+    Hillis-Steele scan solves it for all steps in log2(T) passes. It composes
+    (p, q) pairs and never divides, so p = 0 is safe. Row n of the kernel is
+    h_a ((n+1) x_a + s_n S_n) / d, which is (h_a M_a^-1 A u_a)[n]. The same
+    column written as u_a - u_{a-1} cancels: against a longdouble recurrence
+    it measured 10-50x less accurate.
     """
     n, length = kernel.shape
     s = op.b_vector
-    k = np.arange(1.0, length)                 # step a covers [a, a+1]
-    backward = scheme is Scheme.BACKWARD_EULER
-    h = 1.0 / (k + 1.0) if backward else 1.0 / k
-    c = h if backward else 0.5 * h
+    h = 1.0 / np.arange(1.0, length)            # step a covers [a, a+1]
+    c = 0.5 * h
     total = np.zeros(length - 1)               # S_n at every step
     p, x = np.empty(length), np.empty(length)
     for row in range(n):
         cn = c * (row + 1.0)
         d = 1.0 + cn
-        p[:-1] = 1.0 / d if backward else (1.0 - cn) / d
-        x[:-1] = (-1.0 if backward else -2.0) * s[row] * c * total / d
+        p[:-1] = (1.0 - cn) / d
+        x[:-1] = -2.0 * s[row] * c * total / d
         # element T-1 is the constant map to u_{T-1}[n] = e0[n]
         p[-1] = 0.0
         x[-1] = 1.0 if row == 0 else 0.0
@@ -432,37 +438,54 @@ def _scan_kernel(op: HippoOperator, scheme: Scheme, kernel: np.ndarray) -> None:
         kernel[row, 0] = x[0]
         kernel[row, 1:] = h * ((row + 1.0) * x[1:] + s[row] * total) / d
         # s_n z_n from the scanned u's; solving afresh for z was up to 20x
-        # less accurate on an alternating input under bilinear
-        total += s[row] * (x[:-1] if backward else 0.5 * (x[:-1] + x[1:]))
+        # less accurate on an alternating input
+        total += s[row] * (0.5 * (x[:-1] + x[1:]))
 
 
-def _hahn_kernel(kernel: np.ndarray) -> None:
-    """Fill the N x T forward Euler history kernel in closed form.
+def _hahn_kernel(kernel: np.ndarray, backward: bool) -> None:
+    """Fill the N x T forward or backward Euler history kernel in closed form.
 
-    With M = T - 1 >= N, the steps I - A/j for j = a+1 .. M scale mode
+    With M = T - 1, the forward steps I - A/j for j = a+1 .. M scale mode
     lambda = 1 .. N of A by the falling-factorial ratio (a)_lambda/(M)_lambda,
     where ZOH's r**A scales it by r**lambda. So u_a is `segment_coefficients`
     at r = a/M with each r**lambda replaced by that ratio, which turns the
     shifted Legendre P_k(2r - 1) into (-1)^k Q_k(a; 0, 0, M), a discrete
     Chebyshev (Hahn) polynomial (Koekoek, Lesky & Swarttouw, 2010, 9.5).
-    Column 0 is exactly 0, since step j = lambda removes mode lambda. The
-    other columns come straight from the Hahn forward difference
-    Q_k(a) - Q_k(a-1) = -k(k+1)/M Q_{k-1}(a-1; 1, 1, M-1), not from
-    u_a - u_{a-1}, which cancels. With Q_n = Q_n(a-1; 1, 1, M-1):
-      K[n, a] = (-1)^n ((n+1)(n+2) Q_n - (n-1) n Q_{n-2}) / (2 M sqrt(2n+1)).
-    The Q_n follow from the three-term recurrence in the degree over
-    x = a - 1 = 0 .. M-1, A_k Q_{k+1} = (A_k + C_k - x) Q_k - C_k Q_{k-1},
-    with A_k = (k+3)(M-1-k) / (2(2k+3)) and C_k = k(k+M+2) / (2(2k+3)).
-    Each Q_n is built in kernel row n, and a last pass from the top row
-    down turns the rows into kernel rows, so nothing N x T is allocated.
-    The recurrence stays accurate while N + 1 <= 2 sqrt(M), inside the
-    classical range (degree up to 2 sqrt(M)) of bounded discrete Chebyshev
-    polynomials; the caller checks this as 4(T-1) >= (N+1)^2.
+    The backward steps (I + A/(j+1))^-1 scale it by (j+1)/(j+1+lambda), so
+    by the rising-factorial ratio (a+2)^(lambda)/(M+2)^(lambda). As the
+    falling (-y)_lambda is (-1)^lambda y^(lambda), that is the forward ratio
+    at a -> -(a+2), M -> -(M+2). So with Hahn parameter m and points x:
+      forward:  m = M,      x = a - 1,  column 0 = 0 (step lambda removes mode lambda);
+      backward: m = -(M+2), x = -(a+2), column 0 = u_0, from Q_k(-2; 0, 0, m).
+    Columns a >= 1 come from the Hahn forward difference
+    Q_k(x+1) - Q_k(x) = -k(k+1)/m Q_{k-1}(x; 1, 1, m-1), not from
+    u_a - u_{a-1}, which cancels. With Q_n = Q_n(x; 1, 1, m-1):
+      K[n, a] = (-1)^n ((n+1)(n+2) Q_n - (n-1) n Q_{n-2}) / (2 |m| sqrt(2n+1)).
+    The Q_n follow from the three-term recurrence in the degree,
+    A_k Q_{k+1} = (A_k + C_k - x) Q_k - C_k Q_{k-1}, with
+    A_k = (k+3)(m-1-k) / (2(2k+3)) and C_k = k(k+m+2) / (2(2k+3)), each in
+    kernel row n; a last pass from the top row down turns the rows into
+    kernel rows, so nothing N x T is allocated. Forward, the recurrence
+    stays accurate while N + 1 <= 2 sqrt(M), the classical range of bounded
+    discrete Chebyshev polynomials; the caller checks 4(T-1) >= (N+1)^2.
+    Backward needs no condition: its ratios are the moments E[r**lambda] of
+    r ~ Beta(a+2, M-a), so each Q_n averages a Jacobi polynomial over [0, 1].
     """
     n, length = kernel.shape
-    m = length - 1
-    x = np.arange(float(m))
-    kernel[:, 0] = 0.0
+    m = -(length + 1) if backward else length - 1
+    x = -np.arange(3.0, length + 2.0) if backward else np.arange(float(m))
+    if backward:
+        # psi_n at P_k(2r-1) -> (-1)^k Q_k(-2; 0, 0, m), k = -1 .. N; the
+        # stand-in Q_-1 = 1 turns row 0 into psi_0 = (1 - Q_1) / 2 = -2/m
+        q0 = [1.0, 1.0]
+        for k in range(n):
+            a_k = (k + 1.0) * (m - k) / (2.0 * (2 * k + 1))
+            c_k = k * (k + m + 1.0) / (2.0 * (2 * k + 1))
+            q0.append(((a_k + c_k + 2.0) * q0[-1] - c_k * q0[-2]) / a_k)
+        q0, rows = np.array(q0), np.arange(n)
+        kernel[:, 0] = (-1.0) ** (rows + 1) * (q0[2:] - q0[:-2]) / (2 * np.sqrt(2 * rows + 1))
+    else:
+        kernel[:, 0] = 0.0
     q = kernel[:, 1:]
     q[0] = 1.0
     for k in range(n - 1):
@@ -477,7 +500,7 @@ def _hahn_kernel(kernel: np.ndarray) -> None:
         q[row] *= (row + 1.0) * (row + 2.0)
         if row >= 2:
             q[row] -= (row - 1.0) * row * q[row - 2]
-        q[row] *= (-1.0) ** row / (2.0 * m * np.sqrt(2.0 * row + 1.0))
+        q[row] *= (-1.0) ** row / (2.0 * abs(m) * np.sqrt(2.0 * row + 1.0))
 
 
 def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray:
@@ -493,32 +516,30 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     Abar_a are rational functions of A, so they commute. The kernel is thus
     fixed by the vectors u_a = Abar_{a+1} ... Abar_{length-1} e0: column 0
     is u_0 and column a is u_a - u_{a-1}.
-      ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form.
-      Backward Euler and bilinear: `_scan_kernel` solves for the u_a row by
-      row with an O(T log T) scan per row, with no step matrices.
-      Forward Euler with 4(length-1) >= (N+1)^2: `_hahn_kernel`, in closed
-      form from discrete Chebyshev (Hahn) polynomials, O(N T).
-      Forward Euler below that: `_fold_steps` multiplies the step matrices.
-      There the exact kernel entries grow large (about 1e8 at N = 32,
-      length = 33), the Hahn recurrence loses digits, and the steps amplify
-      row n for k < (n+1)/2, so a scan of the reverse-order recurrence
-      would be unstable too.
+      ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form,
+      differenced straight from one row-major Legendre table.
+      Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
+      `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
+      Bilinear: `_scan_kernel`, an O(T log T) scan per state row.
+      Forward Euler below that size: `_fold_steps` multiplies the step
+      matrices. There the exact kernel entries grow large (about 1e8 at
+      N = 32, length = 33), the Hahn recurrence loses digits, and the steps
+      amplify row n for k < (n+1)/2, so a scan of the reverse-order
+      recurrence would be unstable too.
     """
     length = _as_index("length", length)
+    n = op.order
+    kernel = np.empty((n, length))
     if scheme is Scheme.ZOH:
-        seg = segment_coefficients(op, np.arange(length + 1) / length)
-        kernel = (seg[1:] - seg[:-1]).T
-    elif scheme is Scheme.FORWARD_EULER and 4 * (length - 1) >= (op.order + 1) ** 2:
-        kernel = np.empty((op.order, length))
-        _hahn_kernel(kernel)
-    elif scheme is Scheme.FORWARD_EULER:
-        n = op.order
-        kernel = np.empty((n, length))
+        seg = _segment_rows(op, np.arange(length + 1) / length)
+        np.subtract(seg[:, 1:], seg[:, :-1], out=kernel)
+    elif scheme is Scheme.BILINEAR:
+        _scan_kernel(op, kernel)
+    elif scheme is Scheme.FORWARD_EULER and 4 * (length - 1) < (n + 1) ** 2:
         prod = np.empty((1, n, n))
         _fold_steps(op, scheme, prod, kernel[None, :, 1:])
         kernel[:, 0] = prod[0, :, 0]  # prod @ e0: exact first-sample absorption
     else:
-        kernel = np.empty((op.order, length))
-        _scan_kernel(op, scheme, kernel)
+        _hahn_kernel(kernel, scheme is Scheme.BACKWARD_EULER)
     _check_finite(scheme, kernel)
     return kernel

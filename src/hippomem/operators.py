@@ -69,19 +69,15 @@ def build_operator(order: int) -> HippoOperator:
     return HippoOperator(order=order, a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
-def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
-    """P_0..P_{count-1} at each of the given points, shape (z.size, count).
+def _legendre_rows(z: np.ndarray, count: int) -> np.ndarray:
+    """P_0..P_{count-1} at each of the given points, as (count, points) rows.
 
-    Bonnet three-term recurrence, run in place over the rows of a
-    (count, points) array, so each degree is a few numpy calls over
-    contiguous memory whatever the point count; every element keeps the
-    operation order ((2k-1) z) P_{k-1} - (k-1) P_{k-2}, then / k. The result
-    is returned as a C-contiguous (points, count) copy: callers slice it
-    into per-block matmul operands, and matmul bits depend on operand
-    layout. Arguments within CLAMP_TOL of [-1, 1] are clamped; values beyond
-    it, and NaN, are rejected.
+    Bonnet three-term recurrence, run in place over the rows, so each degree
+    is a few numpy calls over contiguous memory whatever the point count;
+    every element keeps the operation order ((2k-1) z) P_{k-1} - (k-1) P_{k-2},
+    then / k. Arguments within CLAMP_TOL of [-1, 1] are clamped; values
+    beyond it, and NaN, are rejected.
     """
-    count = _as_index("count", count)
     z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
@@ -98,7 +94,13 @@ def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
         np.multiply(rows[k - 2], k - 1, out=lower)
         row -= lower
         row /= k
-    return rows.T.copy()
+    return rows
+
+
+def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
+    """`_legendre_rows` as a C-contiguous (z.size, count) copy: callers slice
+    it into matmul operands, and matmul bits depend on operand layout."""
+    return _legendre_rows(z, _as_index("count", count)).T.copy()
 
 
 def basis_matrix(xs: np.ndarray, t: float, count: int) -> np.ndarray:

@@ -124,6 +124,9 @@ def _flip_last_byte(blob):
     pytest.param(EXP, lambda b: struct.pack_into("<d", b, _DECAY_AT, math.nan), id="decay-nan"),
     pytest.param(UNIFORM, lambda b: struct.pack_into("<I", b, _TAG_AT, 1),
                  id="uniform-tag-to-exponential"),
+    # re-sealed: the checksum passes, and only building the strategy can object
+    pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 1.5), id="resealed-decay-1.5"),
+    pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 0.0), id="resealed-decay-0"),
 ])
 def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
     built, path, hit = _load_or_build(tmp_path, strategy)
@@ -145,13 +148,18 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
     assert hit
 
 
-def _rewrite_header(path, fmt, offset, value):
-    """Set one header field of an intact file and re-seal its checksum."""
-    blob = bytearray(open(path, "rb").read())
+def _set_header(blob, fmt, offset, value):
+    """Set one header field of an intact file's bytes and re-seal its checksum."""
     struct.pack_into(fmt, blob, offset, value)
     payload_at = _CHECKSUM_AT + 4
     struct.pack_into("<I", blob, _CHECKSUM_AT,
                      zlib.crc32(blob[payload_at:], zlib.crc32(blob[:_CHECKSUM_AT])))
+
+
+def _rewrite_header(path, fmt, offset, value):
+    """Set one header field of an intact file and re-seal its checksum."""
+    blob = bytearray(open(path, "rb").read())
+    _set_header(blob, fmt, offset, value)
     with open(path, "wb") as fh:
         fh.write(blob)
 

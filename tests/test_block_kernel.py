@@ -108,11 +108,13 @@ def test_zoh_bank_equals_per_block_quadrature_and_segments(order, ell, blocks):
 
 def test_zoh_bank_makes_two_legendre_tables_per_group(monkeypatch):
     # outer quadrature nodes and segment ends; the inner node table is built
-    # once per order, on the first call
+    # once per order, on the first call. Segment ends take the row-major
+    # table, the quadrature nodes the transposed one: count both.
     calls = []
-    real = discretization.legendre_table
-    monkeypatch.setattr(discretization, "legendre_table",
-                        lambda z, count: calls.append(count) or real(z, count))
+    for name in ("legendre_table", "_legendre_rows"):
+        real = getattr(discretization, name)
+        monkeypatch.setattr(discretization, name,
+                            lambda z, count, real=real: calls.append(count) or real(z, count))
     discretization._gauss_table.cache_clear()
     op = build_operator(32)
     assert _GROUP_POINTS // 65 == 63  # so 70 blocks of L = 64 take 2 groups
@@ -141,7 +143,8 @@ def test_history_kernel_matches_composed_steps(order, scheme, length):
 @pytest.mark.parametrize("order", [1, 4, 32, 128])
 @pytest.mark.parametrize("length", [2, 3, 65, 513])
 def test_history_kernel_scan_matches_one_block_bank(scheme, order, length):
-    # history_kernel scans rows; build_bank folds step matrices. Over steps 1..T-1
+    # history_kernel scans rows (bilinear) or takes the Hahn closed form
+    # (backward Euler); build_bank folds step matrices. Over steps 1..T-1
     # they build the same operator by independent routes.
     op = build_operator(order)
     kernel = history_kernel(op, length, scheme)
