@@ -47,7 +47,6 @@ from .attention import (
     init_weights,
 )
 from .signal_bench import (
-    BenchResult,
     SignalKind,
     SignalSpec,
     TableRow,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionConfig",
     "AttentionWeights",
-    "BenchResult",
     "BlockIO",
     "BlockKernelBank",
     "BlockResult",

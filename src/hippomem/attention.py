@@ -60,6 +60,7 @@ class AttentionConfig:
                         mem_length=0, hippo_order=1)
         for name, minimum in minimums.items():
             object.__setattr__(self, name, _as_index(name, getattr(self, name), minimum))
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.model_dim != self.head_count * self.head_dim:
             raise ValueError(
                 f"model_dim {self.model_dim} != head_count {self.head_count} "

@@ -48,6 +48,7 @@ def build_bank(
     """Precompute P_i and K_i for every block position i = 1 .. max_blocks."""
     block_length = _as_index("block_length", block_length)
     max_blocks = _as_index("max_blocks", max_blocks)
+    scheme = Scheme(scheme)
     n, ell = op.order, block_length
     transitions = np.empty((max_blocks, n, n))
     kernels = np.empty((max_blocks, n, ell))

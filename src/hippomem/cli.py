@@ -2,9 +2,10 @@
 
 Subcommands: build-banks, compress, bench-table, attn-demo. All randomness
 flows from --seed; stdout and every output file are byte-identical across
-reruns with the same flags. Wall-clock timings go to stderr only. The last
-stdout line is a machine-readable JSON summary, and the exit code is 0 iff
-every requested invariant check passed.
+reruns with the same flags. `main` times each subcommand and prints one
+`[timing] <subcommand>: <seconds>s` line on stderr; no report holds a
+timing. The last stdout line is a machine-readable JSON summary, and the
+exit code is 0 iff every requested invariant check passed.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class UsageError(ValueError):
 
 def _summary(payload: dict) -> None:
     print("SUMMARY " + json.dumps(payload))
-
-
-def _stderr_timing(label: str, seconds: float) -> None:
-    print(f"[timing] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
 def _read_columns(path: str) -> np.ndarray:
@@ -106,15 +103,13 @@ def _cmd_build_banks(args: argparse.Namespace) -> int:
         raise UsageError(f"--max-blocks must be >= 1, got {args.max_blocks}")
     op = build_operator(args.order)
     scheme = Scheme(args.scheme)
-    strategy = SamplingStrategy(SamplingKind(args.strategy), args.alpha)
+    strategy = SamplingStrategy(args.strategy, args.alpha)
     cache_dir = args.cache_dir
 
-    started = time.perf_counter()
     kbank, kpath, khit = load_or_build_kernel_bank(
         cache_dir, op, args.block_length, scheme, args.max_blocks)
     rbank, rpath, rhit = load_or_build_reconstruction_bank(
         cache_dir, op, strategy, args.mem_length, args.block_length, args.max_blocks)
-    _stderr_timing("build-banks", time.perf_counter() - started)
 
     for label, path, hit in (("kernel", kpath, khit), ("reconstruction", rpath, rhit)):
         size = os.path.getsize(path)
@@ -143,19 +138,17 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.input}: need at least 2 rows, got {length}")
     op = build_operator(args.order)
     scheme = Scheme(args.scheme)
-    strategy = SamplingStrategy(SamplingKind(args.strategy), args.alpha)
+    strategy = SamplingStrategy(args.strategy, args.alpha)
     mem_length = min(64, length) if args.mem_length is None else args.mem_length
     if mem_length < 1:
         raise UsageError(f"--mem-length must be >= 1, got {mem_length}")
 
-    started = time.perf_counter()
     state = history_kernel(op, length, scheme) @ data        # (N, D)
     grid = np.arange(length, dtype=float)
     full = basis_matrix(grid, float(length), args.order) @ state
     mse = float(np.mean((full - data) ** 2))
     pts = sample_points(strategy, float(length), mem_length)
     summary_rows = basis_matrix(pts, float(length), args.order) @ state
-    _stderr_timing("compress", time.perf_counter() - started)
 
     chan_header = " ".join(f"ch{i}" for i in range(channels))
     if args.out:
@@ -184,10 +177,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_bench_table(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    started = time.perf_counter()
-    rows = run_table(base_seed=args.seed, seed_count=args.seeds,
-                     length=args.length, include_timing=args.timing)
-    _stderr_timing("bench-table", time.perf_counter() - started)
+    rows = run_table(base_seed=args.seed, seed_count=args.seeds, length=args.length)
 
     report = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
     if args.out:
@@ -260,8 +250,8 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     train_name = args.train_strategy or args.strategy
     eval_name = args.eval_strategy or train_name
-    train_strategy = SamplingStrategy(SamplingKind(train_name), args.alpha)
-    eval_strategy = SamplingStrategy(SamplingKind(eval_name), args.alpha)
+    train_strategy = SamplingStrategy(train_name, args.alpha)
+    eval_strategy = SamplingStrategy(eval_name, args.alpha)
     cfg = AttentionConfig(
         model_dim=args.heads * args.head_dim,
         head_count=args.heads,
@@ -274,7 +264,6 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     )
     op = build_operator(cfg.hippo_order)
     cache = args.cache_dir
-    started = time.perf_counter()
     kernel_bank, _, _ = load_or_build_kernel_bank(
         cache, op, cfg.block_length, scheme, args.blocks)
     banks = {}
@@ -296,7 +285,6 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     run_b = _run_attention_pass(dataclasses.replace(cfg, strategy=eval_strategy),
                                 weights, inputs, kernel_bank,
                                 banks[eval_strategy], args.blocks)
-    _stderr_timing("attn-demo", time.perf_counter() - started)
 
     states_match = run_a["checksums"] == run_b["checksums"]
     retrievals_differ = any(
@@ -372,16 +360,13 @@ _OPTIONS = {
     "cache_dir": dict(help=f"bank cache directory (default ${_CACHE_ENV} or ./.bank_cache)"),
     "out": dict(help="output file path"),
     "format": dict(choices=["csv", "json"], default="csv", help="report format"),
-    "timing": dict(action="store_true",
-                   help="include measured seconds in the report "
-                        "(breaks byte-identical reruns)"),
 }
 _CONFIG_KEYS = _OPTIONS.keys() - {"out"}
 
 
-def _load_config(path: str) -> dict[str, str | bool]:
+def _load_config(path: str) -> dict[str, str]:
     """key = value lines as subparser defaults; dashes in keys become underscores."""
-    values: dict[str, str | bool] = {}
+    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -394,12 +379,15 @@ def _load_config(path: str) -> dict[str, str | bool]:
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    for key in values:
+    for key, value in values.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-    # a store_true flag has no type for argparse to apply to a string default
-    if "timing" in values:
-        values["timing"] = values["timing"].lower() in ("1", "true", "yes", "on")
+        # argparse checks a flag's choices, but never a default's
+        choices = _OPTIONS[key].get("choices")
+        if choices:
+            values[key] = value.lower()
+            if values[key] not in choices:
+                raise UsageError(f"unknown {key} {value!r} in config; expected one of {choices}")
     return values
 
 
@@ -408,7 +396,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
 
 
-def _build_parser(config: dict[str, str | bool]) -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hippomem",
         description="Polynomial sequence compression: banks, reconstruction, "
@@ -433,7 +421,7 @@ def _build_parser(config: dict[str, str | bool]) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compress, mem_length=None)
 
     p = sub.add_parser("bench-table", help="reconstruction-quality table")
-    _add_common(p, "seed", "seeds", "length", "out", "format", "timing")
+    _add_common(p, "seed", "seeds", "length", "out", "format")
     p.set_defaults(func=_cmd_bench_table)
 
     p = sub.add_parser("attn-demo", help="multi-block attention forward-pass demo")
@@ -457,13 +445,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _build_parser(_load_config(args.config)).parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"[timing] {args.command}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -213,6 +213,7 @@ def discretize_interval(
 
     t_start = 0 is allowed only for ZOH, where the limit is exact.
     """
+    scheme = Scheme(scheme)
     if t_end <= t_start:
         raise ValueError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     if t_start < 0:
@@ -528,6 +529,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       recurrence would be unstable too.
     """
     length = _as_index("length", length)
+    scheme = Scheme(scheme)
     n = op.order
     kernel = np.empty((n, length))
     if scheme is Scheme.ZOH:

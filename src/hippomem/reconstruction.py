@@ -59,6 +59,7 @@ class SamplingStrategy:
     decay: float = DEFAULT_DECAY
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", SamplingKind(self.kind))
         if self.kind is SamplingKind.UNIFORM:
             object.__setattr__(self, "decay", DEFAULT_DECAY)
         elif not 0.0 < self.decay < 1.0:

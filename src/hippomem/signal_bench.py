@@ -11,14 +11,16 @@ through the exact limit step; reconstruction is probed at the sample times,
 which coincide with the uniform sampling points x_j = j * t / L_mem at
 L_mem = length. Smooth signals then reconstruct to ~1e-5..1e-3 MSE at order
 32 while unit-variance noise stays near 1.
+
+Reports hold no timings, so they are byte-identical for identical seeds;
+the CLI prints each subcommand's wall time on stderr.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +32,6 @@ from .operators import _as_index, basis_matrix, build_operator
 __all__ = [
     "SignalKind",
     "SignalSpec",
-    "BenchResult",
     "TableRow",
     "generate_signal",
     "run_benchmark",
@@ -68,12 +69,6 @@ class SignalSpec:
         least = 1 if self.kind is SignalKind.SINE_COMPOSITE else 0  # noise has none
         object.__setattr__(self, "component_count",
                            _as_index("component_count", self.component_count, least))
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    mse: float
-    wall_time: float
 
 
 def generate_signal(spec: SignalSpec) -> np.ndarray:
@@ -116,14 +111,12 @@ def _cached_probe_matrix(order: int, length: int) -> np.ndarray:
     return mat
 
 
-def run_benchmark(spec: SignalSpec, order: int, scheme: Scheme) -> BenchResult:
+def run_benchmark(spec: SignalSpec, order: int, scheme: Scheme) -> float:
     """Compress one signal, reconstruct at every sample time, return the MSE."""
-    started = time.perf_counter()
     signal = generate_signal(spec)
     state = _cached_kernel(order, spec.length, scheme) @ signal
     recon = _cached_probe_matrix(order, spec.length) @ state
-    mse = float(np.mean((recon - signal) ** 2))
-    return BenchResult(mse=mse, wall_time=time.perf_counter() - started)
+    return float(np.mean((recon - signal) ** 2))
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,6 @@ class TableRow:
     scheme: str
     mse: float
     mse_std: float
-    seconds: float
 
 
 def standard_rows() -> list[tuple[SignalKind, int, int, Scheme]]:
@@ -153,36 +145,21 @@ def standard_rows() -> list[tuple[SignalKind, int, int, Scheme]]:
     ]
 
 
-def run_table(
-    base_seed: int = 0,
-    seed_count: int = 8,
-    length: int = 1024,
-    include_timing: bool = False,
-) -> list[TableRow]:
+def run_table(base_seed: int = 0, seed_count: int = 8, length: int = 1024) -> list[TableRow]:
     """All nine rows, each averaged over `seed_count` derived seeds.
 
     Sine rows of a given repetition share one signal seed, so component
     counts nest (the 3-sine signal extends the 1-sine signal) and scheme
-    rows compare on identical inputs. The seconds column is written as 0
-    unless `include_timing` is set: timing varies run to run, and reports
-    must be byte-identical for identical seeds.
+    rows compare on identical inputs.
     """
     seed_count = _as_index("seed_count", seed_count)
     rows: list[TableRow] = []
     for kind, n_comp, order, scheme in standard_rows():
         mses = []
-        elapsed = 0.0
         for rep in range(seed_count):
             seed = rng.derive(base_seed, 1 if kind is SignalKind.RANDOM_NOISE else 0, rep)
-            spec = SignalSpec(
-                kind=kind,
-                component_count=max(n_comp, 1),
-                length=length,
-                seed=seed,
-            )
-            result = run_benchmark(spec, order, scheme)
-            mses.append(result.mse)
-            elapsed += result.wall_time
+            spec = SignalSpec(kind, max(n_comp, 1), length, seed)
+            mses.append(run_benchmark(spec, order, scheme))
         mses = np.asarray(mses)
         rows.append(TableRow(
             signal_type=kind.value,
@@ -192,36 +169,21 @@ def run_table(
             scheme=scheme.value,
             mse=float(mses.mean()),
             mse_std=float(mses.std()),
-            seconds=elapsed if include_timing else 0.0,
         ))
     return rows
 
 
-_CSV_HEADER = "signal_type,n_components,hippo_dim,sample_length,scheme,mse,mse_std,seconds"
+def _report_row(row: TableRow) -> dict[str, object]:
+    """A row's fields in declaration order, the MSEs as %.10e strings."""
+    return {name: f"{v:.10e}" if isinstance(v, float) else v
+            for name, v in asdict(row).items()}
 
 
 def rows_to_csv(rows: list[TableRow]) -> str:
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.signal_type},{r.n_components},{r.hippo_dim},{r.sample_length},"
-            f"{r.scheme},{r.mse:.10e},{r.mse_std:.10e},{r.seconds:.6f}"
-        )
+    lines = [",".join(f.name for f in fields(TableRow))]
+    lines += [",".join(map(str, _report_row(r).values())) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[TableRow]) -> str:
-    payload = [
-        {
-            "signal_type": r.signal_type,
-            "n_components": r.n_components,
-            "hippo_dim": r.hippo_dim,
-            "sample_length": r.sample_length,
-            "scheme": r.scheme,
-            "mse": f"{r.mse:.10e}",
-            "mse_std": f"{r.mse_std:.10e}",
-            "seconds": f"{r.seconds:.6f}",
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([_report_row(r) for r in rows], indent=2) + "\n"

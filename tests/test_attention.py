@@ -83,6 +83,13 @@ def test_config_validation():
     make_config(mem_length=0)  # retrieval disabled is legal
 
 
+def test_config_takes_a_scheme_name():
+    cfg = make_config(scheme="ZOH")
+    assert cfg.scheme is Scheme.ZOH and cfg == make_config()
+    with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+        make_config(scheme="euler")
+
+
 def test_mask_plain_causal():
     mask = build_trapezoidal_mask(2, 0)
     np.testing.assert_array_equal(mask, [[0.0, MASK_NEG], [0.0, 0.0]])

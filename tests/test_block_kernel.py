@@ -177,6 +177,16 @@ def test_bank_rejects_bad_parameters():
         build_bank(op, 4, Scheme.ZOH, 0)
 
 
+def test_bank_takes_a_scheme_name():
+    op = build_operator(4)
+    bank = build_bank(op, 4, "Backward", 2)
+    assert bank.scheme is Scheme.BACKWARD_EULER
+    np.testing.assert_array_equal(bank.kernels,
+                                  build_bank(op, 4, Scheme.BACKWARD_EULER, 2).kernels)
+    with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+        build_bank(op, 4, "euler", 2)
+
+
 def test_block_update_zero_in_zero_out():
     op = build_operator(4)
     bank = build_bank(op, 6, Scheme.ZOH, 2)

@@ -46,12 +46,19 @@ def test_build_banks_rejects_zero_max_blocks(tmp_path, capsys):
     assert "max-blocks" in err
 
 
-def test_timing_goes_to_stderr_not_stdout(tmp_path, capsys):
-    code, out, err = run_cli(
-        ["build-banks", "--order", "4", "--block-length", "4",
-         "--max-blocks", "2", "--cache-dir", str(tmp_path)], capsys)
+@pytest.mark.parametrize("argv", [
+    ["build-banks", "--order", "4", "--block-length", "4", "--max-blocks", "2",
+     "--cache-dir", "{d}"],
+    ["compress", "{d}/sig.txt", "--order", "4"],
+    ["bench-table", "--seeds", "1", "--length", "64"],
+    ["attn-demo", "--blocks", "1", "--cache-dir", "{d}"],
+], ids=lambda argv: argv[0])
+def test_timing_goes_to_stderr_not_stdout(tmp_path, capsys, argv):
+    (tmp_path / "sig.txt").write_text("0.5\n1.0\n0.25\n")
+    code, out, err = run_cli([a.format(d=tmp_path) for a in argv], capsys)
     assert code == 0
-    assert "[timing]" in err
+    timing = [line for line in err.splitlines() if "[timing]" in line]
+    assert len(timing) == 1 and timing[0].startswith(f"[timing] {argv[0]}: ")
     assert "[timing]" not in out
 
 
@@ -170,9 +177,10 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
     pytest.param("order = 4\nblock_length = 4\nmax_blocks = 1\nstrategy = exponential\n"
                  "alpha = 0.5\n", ["build-banks"],
                  "_exponential0.5_", ["--alpha", "0.25"], "_exponential0.25_", id="float"),
-    # a falsy timing value keeps the seconds column at zero
-    pytest.param("timing = off\nseeds = 1\nlength = 256\n", ["bench-table"],
-                 ",0.000000\n", None, None, id="timing-off"),
+    # a config value is matched against its flag's choices in any case
+    pytest.param("format = JSON\nseeds = 1\nlength = 64\n", ["bench-table"],
+                 '"signal_type": "sine"', ["--format", "csv"], "\nsine,1,32,64,zoh,",
+                 id="format-case-folded"),
     # compress's own default would be 64 rows
     pytest.param("mem_length = 5\n", ["compress", "{d}/sig.txt", "--out", "{d}/o.txt"],
                  "wrote 5 reconstruction rows", ["--mem-length", "7"],
@@ -182,8 +190,7 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
                  id="attn-default-block-length"),
     pytest.param("blocks = 1\nblock_length = 4\n", ["attn-demo"], " L=4 ",
                  ["--block-length", "2"], " L=2 ", id="attn-block-length"),
-    # config values go through the Scheme constructor, which folds case; flags must
-    # be lower case
+    # config values are folded to lower case; flags must be lower case
     pytest.param("order = 4\nblock_length = 4\nmax_blocks = 1\nscheme = ZOH\n",
                  ["build-banks"], "_zoh_", ["--scheme", "bilinear"], "_bilinear_",
                  id="scheme-case-folded"),
@@ -245,6 +252,16 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path, capsys, argv_builder
     capsys.readouterr()
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     assert first == second
+
+
+@pytest.mark.parametrize("value", ["xml", "JSONL"])
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, value):
+    # argparse checks choices on flags only; a config value becomes a default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = {value}\nseeds = 1\nlength = 64\n")
+    code, out, err = run_cli(["--config", str(cfg), "bench-table"], capsys)
+    assert code == 2 and out == ""
+    assert f"unknown format {value!r}" in err and "['csv', 'json']" in err
 
 
 def test_non_numeric_int_via_config_is_usage_error(tmp_path, capsys):

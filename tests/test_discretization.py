@@ -36,6 +36,21 @@ def test_scheme_parsing():
         Scheme(0)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_names_route_like_members(scheme):
+    # any name used to fall through to the forward Euler kernel
+    op = build_operator(6)
+    np.testing.assert_array_equal(history_kernel(op, 64, scheme.value),
+                                  history_kernel(op, 64, scheme))
+    for got, want in zip(discretize_interval(op, 3.0, 4.0, scheme.value.upper()),
+                         discretize_interval(op, 3.0, 4.0, scheme)):
+        np.testing.assert_array_equal(got, want)
+    for call in (lambda: history_kernel(op, 64, "euler"),
+                 lambda: discretize_interval(op, 3.0, 4.0, "euler")):
+        with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+            call()
+
+
 def test_zoh_smallest_case():
     op = build_operator(1)
     step = discretize_step(op, 1, Scheme.ZOH)

@@ -203,7 +203,7 @@ def _table_seed_count(seed_count):
     # run_table keeps no count: find how many seeds its first row averages
     mse = hippomem.run_table(seed_count=seed_count, length=16)[0].mse
     specs = [hippomem.SignalSpec(_SINE, 1, 16, seed=derive(0, 0, rep)) for rep in range(8)]
-    mses = [hippomem.run_benchmark(spec, 32, hippomem.Scheme.ZOH).mse for spec in specs]
+    mses = [hippomem.run_benchmark(spec, 32, hippomem.Scheme.ZOH) for spec in specs]
     return next(k for k in range(1, 9) if float(np.mean(mses[:k])) == mse)
 
 

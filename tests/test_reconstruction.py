@@ -27,6 +27,17 @@ def test_uniform_points():
     np.testing.assert_allclose(pts, [0.0, 2.0, 4.0, 6.0], atol=0)
 
 
+def test_strategy_takes_a_kind_name():
+    # "uniform" used to sample exponential points, and label() raised
+    strategy = SamplingStrategy("uniform")
+    assert strategy == UNIFORM and strategy.label() == "uniform"
+    np.testing.assert_array_equal(sample_points(strategy, 1.0, 4), [0.0, 0.25, 0.5, 0.75])
+    assert (SamplingStrategy("Exponential", 0.5)
+            == SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5))
+    with pytest.raises(ValueError, match="unknown sampling strategy 'linear'"):
+        SamplingStrategy("linear")
+
+
 def test_exponential_points_ordered_oldest_first():
     pts = sample_points(SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5), 16.0, 3)
     np.testing.assert_allclose(pts, [0.0, 8.0, 12.0], atol=1e-12)

@@ -54,7 +54,7 @@ def test_mse_monotone_in_component_count_per_seed():
     for seed in range(8):
         mses = [
             run_benchmark(SignalSpec(SignalKind.SINE_COMPOSITE, n, 1024, seed=seed),
-                          32, Scheme.ZOH).mse
+                          32, Scheme.ZOH)
             for n in (1, 3, 5)
         ]
         assert mses[0] <= mses[1] <= mses[2]
@@ -63,15 +63,15 @@ def test_mse_monotone_in_component_count_per_seed():
 def test_noise_is_incompressible():
     for order in (32, 512):
         spec = SignalSpec(SignalKind.RANDOM_NOISE, 0, 1024, seed=17)
-        assert run_benchmark(spec, order, Scheme.ZOH).mse > 0.5
+        assert run_benchmark(spec, order, Scheme.ZOH) > 0.5
 
 
 def test_bilinear_beats_euler_schemes_on_five_sines():
     for seed in (0, 1):
         spec = SignalSpec(SignalKind.SINE_COMPOSITE, 5, 1024, seed=seed)
-        bil = run_benchmark(spec, 32, Scheme.BILINEAR).mse
-        fwd = run_benchmark(spec, 32, Scheme.FORWARD_EULER).mse
-        bwd = run_benchmark(spec, 32, Scheme.BACKWARD_EULER).mse
+        bil = run_benchmark(spec, 32, Scheme.BILINEAR)
+        fwd = run_benchmark(spec, 32, Scheme.FORWARD_EULER)
+        bwd = run_benchmark(spec, 32, Scheme.BACKWARD_EULER)
         assert bil < bwd
         assert bil < fwd
 
@@ -95,11 +95,7 @@ def test_table_shape_and_determinism():
     assert len(rows1) == 9
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
     header = rows_to_csv(rows1).splitlines()[0]
-    assert header == "signal_type,n_components,hippo_dim,sample_length,scheme,mse,mse_std,seconds"
-    # timing defaults to a stable placeholder
-    assert all(r.seconds == 0.0 for r in rows1)
-    timed = run_table(base_seed=5, seed_count=1, length=256, include_timing=True)
-    assert any(r.seconds > 0.0 for r in timed)
+    assert header == "signal_type,n_components,hippo_dim,sample_length,scheme,mse,mse_std"
 
 
 def test_table_rows_cover_the_nine_settings():
@@ -124,9 +120,9 @@ def test_json_mirror_has_identical_fields():
     rows = run_table(base_seed=2, seed_count=1, length=256)
     payload = json.loads(rows_to_json(rows))
     assert len(payload) == 9
-    assert payload[0].keys() == {
-        "signal_type", "n_components", "hippo_dim", "sample_length", "scheme",
-        "mse", "mse_std", "seconds",
-    }
-    for row, entry in zip(rows, payload):
+    header = rows_to_csv(rows).splitlines()[0].split(",")
+    csv_rows = [line.split(",") for line in rows_to_csv(rows).splitlines()[1:]]
+    for row, entry, cells in zip(rows, payload, csv_rows):
+        assert list(entry) == header
+        assert [str(v) for v in entry.values()] == cells
         assert entry["mse"] == f"{row.mse:.10e}"
