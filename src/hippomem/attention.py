@@ -23,7 +23,7 @@ from . import rng
 from .block_kernel import BlockKernelBank, block_update
 from .discretization import MemoryState, Scheme
 from .operators import _as_index
-from .reconstruction import ReconstructionBank, SamplingStrategy, retrieve
+from .reconstruction import ReconstructionBank, SamplingStrategy, _require_strategy, retrieve
 
 __all__ = [
     "AttentionConfig",
@@ -61,6 +61,7 @@ class AttentionConfig:
         for name, minimum in minimums.items():
             object.__setattr__(self, name, _as_index(name, getattr(self, name), minimum))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
+        _require_strategy(self.strategy)
         if self.model_dim != self.head_count * self.head_dim:
             raise ValueError(
                 f"model_dim {self.model_dim} != head_count {self.head_count} "
@@ -123,7 +124,6 @@ class BlockResult:
     value_state: MemoryState
     probabilities: np.ndarray   # (H, L, mem_rows + L)
     memory_keys: np.ndarray     # (mem_rows, model_dim); 0 rows when retrieval off
-    memory_values: np.ndarray
 
 
 def build_trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
@@ -141,19 +141,20 @@ def build_trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
     return mask
 
 
-def apply_rotary(mat: np.ndarray, start_position: int, base: float) -> np.ndarray:
+def apply_rotary(mat: np.ndarray, start_position: int) -> np.ndarray:
     """Rotate each (2i, 2i+1) pair of every row by position * base**(-2i/D).
 
-    mat is (..., L, D): rows get absolute positions start_position,
-    start_position + 1, ... along the L axis, and the angles are computed
-    once and broadcast over any leading (e.g. head) axes. Pure rotation, so
-    pairwise norms are preserved. The result is C-contiguous.
+    base is AttentionConfig.rope_base. mat is (..., L, D): rows get absolute
+    positions start_position, start_position + 1, ... along the L axis, and
+    the angles are computed once and broadcast over any leading (e.g. head)
+    axes. Pure rotation, so pairwise norms are preserved. The result is
+    C-contiguous.
     """
     mat = np.asarray(mat, dtype=float)
     length, dim = mat.shape[-2:]
     if dim % 2:
         raise ValueError(f"rotary encoding needs an even dimension, got {dim}")
-    freqs = base ** (-np.arange(0, dim, 2, dtype=float) / dim)
+    freqs = AttentionConfig.rope_base ** (-np.arange(0, dim, 2, dtype=float) / dim)
     angles = (start_position + np.arange(length, dtype=float))[:, None] * freqs[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = mat[..., 0::2], mat[..., 1::2]
@@ -218,21 +219,18 @@ def forward_block(
     v_curr = hidden @ weights.w_value
 
     start = (io.block_index - 1) * ell
-    q_heads = apply_rotary(_heads(q_raw, h, dh), start, cfg.rope_base)
-    k_heads = apply_rotary(_heads(k_raw, h, dh), start, cfg.rope_base)
+    q_heads = apply_rotary(_heads(q_raw, h, dh), start)
+    k_heads = apply_rotary(_heads(k_raw, h, dh), start)
     v_heads = _heads(v_curr, h, dh)
 
     if use_memory:
         k_mem = retrieve(io.key_state, recon_bank)      # (L_mem, model_dim), no rotary
         v_mem = retrieve(io.value_state, recon_bank)
-        k_aug = np.concatenate([_heads(k_mem, h, dh), k_heads], axis=1)
-        v_aug = np.concatenate([_heads(v_mem, h, dh), v_heads], axis=1)
-        mem_rows = cfg.mem_length
     else:
-        k_mem = np.zeros((0, cfg.model_dim))
-        v_mem = np.zeros((0, cfg.model_dim))
-        k_aug, v_aug = k_heads, v_heads
-        mem_rows = 0
+        k_mem = v_mem = np.zeros((0, cfg.model_dim))
+    mem_rows = k_mem.shape[0]
+    k_aug = np.concatenate([_heads(k_mem, h, dh), k_heads], axis=1)
+    v_aug = np.concatenate([_heads(v_mem, h, dh), v_heads], axis=1)
 
     mask = build_trapezoidal_mask(ell, mem_rows)
     scores = q_heads @ k_aug.transpose(0, 2, 1) / np.sqrt(dh) + mask[None]
@@ -249,5 +247,4 @@ def forward_block(
         value_state=value_state,
         probabilities=probs,
         memory_keys=k_mem,
-        memory_values=v_mem,
     )

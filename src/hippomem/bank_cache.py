@@ -42,6 +42,7 @@ from .reconstruction import (
     ReconstructionBank,
     SamplingKind,
     SamplingStrategy,
+    _require_strategy,
     build_reconstruction_bank,
 )
 
@@ -214,6 +215,7 @@ def load_or_build_kernel_bank(
     max_blocks: int,
 ) -> tuple[BlockKernelBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
+    scheme = Scheme(scheme)
     return _load_or_build(
         kernel_bank_path(cache_dir, op.order, block_length, scheme, max_blocks),
         read_kernel_bank, write_kernel_bank,
@@ -226,6 +228,7 @@ def load_or_build_reconstruction_bank(
     mem_length: int, block_length: int, max_blocks: int,
 ) -> tuple[ReconstructionBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
+    _require_strategy(strategy)
     return _load_or_build(
         reconstruction_bank_path(cache_dir, op.order, block_length, strategy,
                                  mem_length, max_blocks),

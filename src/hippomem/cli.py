@@ -248,10 +248,8 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     if args.blocks < 1:
         raise UsageError(f"--blocks must be >= 1, got {args.blocks}")
     scheme = Scheme(args.scheme)
-    train_name = args.train_strategy or args.strategy
-    eval_name = args.eval_strategy or train_name
-    train_strategy = SamplingStrategy(train_name, args.alpha)
-    eval_strategy = SamplingStrategy(eval_name, args.alpha)
+    train_strategy = SamplingStrategy(args.train_strategy, args.alpha)
+    eval_strategy = SamplingStrategy(args.eval_strategy or args.train_strategy, args.alpha)
     cfg = AttentionConfig(
         model_dim=args.heads * args.head_dim,
         head_count=args.heads,
@@ -425,12 +423,12 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench_table)
 
     p = sub.add_parser("attn-demo", help="multi-block attention forward-pass demo")
-    _add_common(p, "order", "block_length", "mem_length", "scheme", "strategy",
-                "alpha", "seed", "heads", "head_dim", "blocks", "cache_dir", "out")
-    p.add_argument("--train-strategy", choices=_STRATEGIES, default=None,
+    _add_common(p, "order", "block_length", "mem_length", "scheme", "alpha", "seed",
+                "heads", "head_dim", "blocks", "cache_dir", "out")
+    p.add_argument("--train-strategy", choices=_STRATEGIES, default="uniform",
                    help="strategy used while processing blocks")
     p.add_argument("--eval-strategy", choices=_STRATEGIES, default=None,
-                   help="strategy swapped in at retrieval time")
+                   help="strategy swapped in at retrieval time (default: the train strategy)")
     # toy attention shapes are smaller than the bank-building defaults
     p.set_defaults(func=_cmd_attn_demo, cache_dir=cache_dir, block_length=8)
 

@@ -71,6 +71,13 @@ class SamplingStrategy:
         return self.kind.value
 
 
+def _require_strategy(value: object) -> None:
+    """The one check of a strategy argument: a kind name is not a strategy,
+    since exponential sampling needs a decay."""
+    if not isinstance(value, SamplingStrategy):
+        raise TypeError(f"strategy must be a SamplingStrategy, got {value!r}")
+
+
 def sample_points(strategy: SamplingStrategy, history_length: float, count: int) -> np.ndarray:
     """Strictly increasing coordinates in [0, t), oldest first.
 
@@ -80,6 +87,7 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
     by nudging the earlier point down to the nearest unused coordinate, so
     the requested count is always honoured.
     """
+    _require_strategy(strategy)
     count = _as_index("count", count)
     if history_length <= 0:
         raise ValueError(f"history_length must be positive, got {history_length}")

@@ -16,20 +16,17 @@ from hippomem import (
     SamplingKind,
     SamplingStrategy,
     Scheme,
-    apply_rotary,
     basis_matrix,
     block_update,
     build_bank,
     build_operator,
     build_reconstruction_bank,
-    build_trapezoidal_mask,
     discretize_step,
     forward_block,
-    init_weights,
     sequential_update,
     zero_state,
 )
-from hippomem.attention import MASK_NEG
+from hippomem.attention import MASK_NEG, apply_rotary, build_trapezoidal_mask, init_weights
 from hippomem.cli import main as cli_main
 from hippomem.rng import derive, normals
 
@@ -179,8 +176,8 @@ def test_criterion_5_attention_reduction(capsys):
     reference = np.zeros_like(hidden)
     for h in range(cfg.head_count):
         sl = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-        qh = apply_rotary(q[:, sl], 0, cfg.rope_base)
-        kh = apply_rotary(k[:, sl], 0, cfg.rope_base)
+        qh = apply_rotary(q[:, sl], 0)
+        kh = apply_rotary(k[:, sl], 0)
         scores = qh @ kh.T / np.sqrt(cfg.head_dim)
         for p in range(cfg.block_length):
             row = scores[p, :p + 1]

@@ -1,5 +1,8 @@
 """Attention block: mask, rotary encoding, forward pass, memory interaction."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,19 +11,23 @@ from hippomem import (
     AttentionConfig,
     AttentionWeights,
     BlockIO,
+    MemoryState,
     SamplingKind,
     SamplingStrategy,
     Scheme,
-    apply_rotary,
     build_bank,
     build_operator,
     build_reconstruction_bank,
-    build_trapezoidal_mask,
     forward_block,
-    init_weights,
     zero_state,
 )
-from hippomem.attention import MASK_NEG
+from hippomem.attention import (
+    MASK_NEG,
+    BlockResult,
+    apply_rotary,
+    build_trapezoidal_mask,
+    init_weights,
+)
 from hippomem.rng import derive, normals
 
 UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
@@ -63,8 +70,8 @@ def reference_causal_attention(hidden, weights, cfg):
     out = np.zeros_like(hidden)
     for h in range(cfg.head_count):
         sl = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-        qh = apply_rotary(q[:, sl], 0, cfg.rope_base)
-        kh = apply_rotary(k[:, sl], 0, cfg.rope_base)
+        qh = apply_rotary(q[:, sl], 0)
+        kh = apply_rotary(k[:, sl], 0)
         scores = qh @ kh.T / np.sqrt(cfg.head_dim)
         for p in range(length):
             row = scores[p, :p + 1]
@@ -90,6 +97,17 @@ def test_config_takes_a_scheme_name():
         make_config(scheme="euler")
 
 
+def test_config_rejects_a_strategy_name():
+    # forward_block used to fail on it later, with an AttributeError
+    with pytest.raises(TypeError, match="strategy must be a SamplingStrategy, got 'uniform'"):
+        make_config(strategy="uniform")
+
+
+def test_block_result_fields():
+    assert [f.name for f in dataclasses.fields(BlockResult)] == [
+        "output", "key_state", "value_state", "probabilities", "memory_keys"]
+
+
 def test_mask_plain_causal():
     mask = build_trapezoidal_mask(2, 0)
     np.testing.assert_array_equal(mask, [[0.0, MASK_NEG], [0.0, 0.0]])
@@ -109,22 +127,30 @@ def test_mask_single_query_sees_everything():
 
 def test_rotary_identity_at_position_zero():
     mat = normals(derive(3, 0), 6 * 8).reshape(6, 8)
-    np.testing.assert_array_equal(apply_rotary(mat, 0, 10000.0)[0], mat[0])
+    np.testing.assert_array_equal(apply_rotary(mat, 0)[0], mat[0])
 
 
 def test_rotary_preserves_pair_norms():
     mat = normals(derive(3, 1), 5 * 8).reshape(5, 8)
-    rotated = apply_rotary(mat, 1234, 10000.0)
+    rotated = apply_rotary(mat, 1234)
     for i in range(0, 8, 2):
         orig = np.hypot(mat[:, i], mat[:, i + 1])
         new = np.hypot(rotated[:, i], rotated[:, i + 1])
         np.testing.assert_allclose(new, orig, atol=1e-12)
 
 
+def test_rotary_base_is_the_config_constant():
+    assert list(inspect.signature(apply_rotary).parameters) == ["mat", "start_position"]
+    # the second pair of D = 4 turns by rope_base ** (-1/2) per position
+    rotated = apply_rotary(np.array([[0.0, 0.0, 1.0, 0.0]]), 1)
+    angle = AttentionConfig.rope_base ** -0.5
+    np.testing.assert_array_equal(rotated[0, 2:], [np.cos(angle), np.sin(angle)])
+
+
 def test_rotary_two_dims_is_one_radian_per_position():
     # oracle: explicit 2x2 rotation matrix at angle 1
     vec = np.array([[0.8, -0.6]])
-    rotated = apply_rotary(vec, 1, 10000.0)
+    rotated = apply_rotary(vec, 1)
     c, s = np.cos(1.0), np.sin(1.0)
     expected = np.array([[0.8 * c - (-0.6) * s, 0.8 * s + (-0.6) * c]])
     np.testing.assert_allclose(rotated, expected, atol=1e-15)
@@ -132,18 +158,18 @@ def test_rotary_two_dims_is_one_radian_per_position():
 
 def test_rotary_rejects_odd_dimension():
     with pytest.raises(ValueError):
-        apply_rotary(np.zeros((2, 3)), 0, 10000.0)
+        apply_rotary(np.zeros((2, 3)), 0)
     with pytest.raises(ValueError):
-        apply_rotary(np.zeros((4, 2, 3)), 0, 10000.0)
+        apply_rotary(np.zeros((4, 2, 3)), 0)
 
 
 def test_rotary_over_heads_equals_per_head_calls():
     # (L, H*D) -> (H, L, D) head-major view, as forward_block passes it
     heads = normals(derive(3, 2), 6 * 4 * 8).reshape(6, 4, 8).transpose(1, 0, 2)
-    rotated = apply_rotary(heads, 37, 10000.0)
+    rotated = apply_rotary(heads, 37)
     assert rotated.flags.c_contiguous
     np.testing.assert_array_equal(
-        rotated, np.stack([apply_rotary(part, 37, 10000.0) for part in heads]))
+        rotated, np.stack([apply_rotary(part, 37) for part in heads]))
 
 
 def test_first_block_equals_reference_causal_attention():
@@ -178,8 +204,8 @@ def test_mem_length_zero_reduces_to_causal_attention_every_block():
         start = (i - 1) * cfg.block_length
         for h in range(ref_cfg.head_count):
             sl = slice(h * ref_cfg.head_dim, (h + 1) * ref_cfg.head_dim)
-            qh = apply_rotary(q[:, sl], start, ref_cfg.rope_base)
-            kh = apply_rotary(k[:, sl], start, ref_cfg.rope_base)
+            qh = apply_rotary(q[:, sl], start)
+            kh = apply_rotary(k[:, sl], start)
             scores = qh @ kh.T / np.sqrt(ref_cfg.head_dim)
             for p in range(cfg.block_length):
                 row = scores[p, :p + 1]
@@ -242,10 +268,35 @@ def test_memory_is_fed_raw_keys(monkeypatch):
     np.testing.assert_array_equal(logged[0], hidden @ weights.w_key)
     np.testing.assert_array_equal(logged[1], hidden @ weights.w_value)
     rotated = np.concatenate([
-        apply_rotary((hidden @ weights.w_key)[:, sl * cfg.head_dim:(sl + 1) * cfg.head_dim],
-                     0, cfg.rope_base)
+        apply_rotary((hidden @ weights.w_key)[:, sl * cfg.head_dim:(sl + 1) * cfg.head_dim], 0)
         for sl in range(cfg.head_count)], axis=1)
     assert np.abs(logged[0] - rotated).max() > 0.0  # rotary really does change keys
+
+
+@pytest.mark.parametrize("mem_length, block_index", [(0, 1), (0, 2), (4, 1)])
+def test_no_memory_rows_is_plain_attention_to_the_bit(mem_length, block_index):
+    # the scores and probs @ V of current rows alone, as computed before an
+    # empty memory was concatenated in front of them
+    cfg = make_config(mem_length=mem_length)
+    weights = init_weights(cfg, seed=77)
+    kernel, recon = make_banks(cfg)
+    hidden = normals(derive(77, 1), cfg.block_length * cfg.model_dim).reshape(
+        cfg.block_length, cfg.model_dim)
+    state = MemoryState(np.zeros((cfg.hippo_order, cfg.model_dim)), block_index - 1)
+    res = forward_block(fresh_io(cfg, hidden, block_index, state, state),
+                        weights, cfg, kernel, recon)
+
+    h, dh, start = cfg.head_count, cfg.head_dim, (block_index - 1) * cfg.block_length
+    q = apply_rotary(attention_mod._heads(hidden @ weights.w_query, h, dh), start)
+    k = apply_rotary(attention_mod._heads(hidden @ weights.w_key, h, dh), start)
+    v = attention_mod._heads(hidden @ weights.w_value, h, dh)
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh) + build_trapezoidal_mask(
+        cfg.block_length, 0)[None]
+    probs = attention_mod._softmax_rows(scores)
+    output = (probs @ v).transpose(1, 0, 2).reshape(hidden.shape) @ weights.w_output
+    np.testing.assert_array_equal(res.probabilities, probs)
+    np.testing.assert_array_equal(res.output, output)
+    assert res.memory_keys.shape == (0, cfg.model_dim)
 
 
 def test_forward_is_deterministic():

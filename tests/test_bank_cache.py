@@ -18,9 +18,9 @@ from hippomem import (
     build_operator,
     build_reconstruction_bank,
     forward_block,
-    init_weights,
     zero_state,
 )
+from hippomem.attention import init_weights
 from hippomem.bank_cache import (
     CacheError,
     load_or_build_kernel_bank,
@@ -181,6 +181,21 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(b"EMKB\x01")
     with pytest.raises(CacheError):
         read_kernel_bank(str(path))
+
+
+def test_kernel_cache_takes_a_scheme_name(tmp_path):
+    # the name used to raise AttributeError, while build_bank took it
+    op = build_operator(4)
+    bank, path, hit = load_or_build_kernel_bank(str(tmp_path), op, 4, "ZOH", 2)
+    assert bank.scheme is Scheme.ZOH and not hit
+    again, again_path, hit = load_or_build_kernel_bank(str(tmp_path), op, 4, Scheme.ZOH, 2)
+    assert hit and again_path == path
+
+
+def test_reconstruction_cache_rejects_a_kind_name(tmp_path):
+    with pytest.raises(TypeError, match="strategy must be a SamplingStrategy, got 'uniform'"):
+        load_or_build_reconstruction_bank(str(tmp_path), build_operator(4), "uniform", 2, 4, 2)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruction_cache_hit_cycle(tmp_path):

@@ -11,13 +11,16 @@ from hippomem import (
     build_operator,
     discretize_step,
     history_kernel,
-    segment_coefficients,
     sequential_update,
-    transition_power,
     zero_state,
 )
 from hippomem import discretization
-from hippomem.discretization import _CHUNK_STEPS, _GROUP_POINTS
+from hippomem.discretization import (
+    _CHUNK_STEPS,
+    _GROUP_POINTS,
+    segment_coefficients,
+    transition_power,
+)
 from hippomem.rng import normals, derive
 
 NON_ZOH = [Scheme.FORWARD_EULER, Scheme.BACKWARD_EULER, Scheme.BILINEAR]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hippomem import SignalKind, SignalSpec, generate_signal
+from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
 from hippomem.cli import main
 
 
@@ -168,6 +168,27 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
     summary = last_summary(out)
     assert summary["states_match"]
     assert summary["retrievals_differ"]
+
+
+def test_attn_demo_has_no_strategy_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["attn-demo", "--blocks", "1", "--strategy", "uniform", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--strategy" in capsys.readouterr().err
+
+
+def test_config_strategy_does_not_reach_attn_demo(tmp_path, capsys):
+    # attn-demo has no --strategy flag, so it ignores the key; --train-strategy rules
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strategy = exponential\nblocks = 1\ncache_dir = {tmp_path}\n")
+    code, out, _ = run_cli(["--config", str(cfg), "attn-demo"], capsys)
+    assert code == 0
+    summary = last_summary(out)
+    assert summary["train_strategy"] == summary["eval_strategy"] == "uniform"
+    code, out, _ = run_cli(["--config", str(cfg), "attn-demo", "--train-strategy",
+                            "exponential", "--alpha", "0.5"], capsys)
+    summary = last_summary(out)
+    assert summary["train_strategy"] == summary["eval_strategy"] == "exponential0.5"
 
 
 @pytest.mark.parametrize("config, argv, expected, flags, flagged_expected", [

@@ -15,15 +15,18 @@ from hippomem import (
     MemoryState,
     Scheme,
     build_operator,
-    discretize_interval,
     discretize_step,
     history_kernel,
-    segment_coefficients,
     sequential_update,
-    transition_power,
     zero_state,
 )
-from hippomem.discretization import _check_finite, _transition_powers
+from hippomem.discretization import (
+    _check_finite,
+    _transition_powers,
+    discretize_interval,
+    segment_coefficients,
+    transition_power,
+)
 
 
 def test_scheme_parsing():

@@ -8,8 +8,12 @@ import pytest
 from scipy.special import eval_legendre
 
 import hippomem
-from hippomem import basis_matrix, build_operator, legendre_table
+from hippomem import basis_matrix, build_operator
+from hippomem.attention import build_trapezoidal_mask
+from hippomem.operators import legendre_table
+from hippomem.reconstruction import sample_points
 from hippomem.rng import derive
+from hippomem.signal_bench import SignalKind, SignalSpec, run_benchmark, run_table
 
 
 def legendre(n: int, z: float) -> float:
@@ -179,7 +183,7 @@ def test_constant_signal_is_ode_fixed_point():
 
 
 _UNIFORM = hippomem.SamplingStrategy(hippomem.SamplingKind.UNIFORM)
-_SINE = hippomem.SignalKind.SINE_COMPOSITE
+_SINE = SignalKind.SINE_COMPOSITE
 
 
 def _config(**sizes):
@@ -201,9 +205,9 @@ def _zoh_step_index(k):
 
 def _table_seed_count(seed_count):
     # run_table keeps no count: find how many seeds its first row averages
-    mse = hippomem.run_table(seed_count=seed_count, length=16)[0].mse
-    specs = [hippomem.SignalSpec(_SINE, 1, 16, seed=derive(0, 0, rep)) for rep in range(8)]
-    mses = [hippomem.run_benchmark(spec, 32, hippomem.Scheme.ZOH) for spec in specs]
+    mse = run_table(seed_count=seed_count, length=16)[0].mse
+    specs = [SignalSpec(_SINE, 1, 16, seed=derive(0, 0, rep)) for rep in range(8)]
+    mses = [run_benchmark(spec, 32, hippomem.Scheme.ZOH) for spec in specs]
     return next(k for k in range(1, 9) if float(np.mean(mses[:k])) == mse)
 
 
@@ -219,7 +223,7 @@ def _table_seed_count(seed_count):
         build_operator(3), _UNIFORM, 2, v, 2).block_length, id="recon-block_length"),
     pytest.param("max_blocks", lambda v: hippomem.build_reconstruction_bank(
         build_operator(3), _UNIFORM, 2, 2, v).max_blocks, id="recon-max_blocks"),
-    pytest.param("count", lambda v: hippomem.sample_points(_UNIFORM, 10.0, v).size,
+    pytest.param("count", lambda v: sample_points(_UNIFORM, 10.0, v).size,
                  id="sample_points-count"),
     pytest.param("model_dim", lambda v: _config(model_dim=v, head_count=1, head_dim=4).model_dim,
                  id="config-model_dim"),
@@ -234,15 +238,15 @@ def _table_seed_count(seed_count):
     pytest.param("hippo_order", lambda v: _config(hippo_order=v).hippo_order,
                  id="config-hippo_order"),
     pytest.param("block_index", lambda v: _block_io(v).block_index, id="BlockIO-block_index"),
-    pytest.param("block_length", lambda v: hippomem.build_trapezoidal_mask(v, 2).shape[0],
+    pytest.param("block_length", lambda v: build_trapezoidal_mask(v, 2).shape[0],
                  id="mask-block_length"),
-    pytest.param("mem_length", lambda v: hippomem.build_trapezoidal_mask(2, v).shape[1] - 2,
+    pytest.param("mem_length", lambda v: build_trapezoidal_mask(2, v).shape[1] - 2,
                  id="mask-mem_length"),
     pytest.param("k", _zoh_step_index, id="discretize_step-k"),
-    pytest.param("length", lambda v: hippomem.SignalSpec(_SINE, 1, v, seed=0).length,
+    pytest.param("length", lambda v: SignalSpec(_SINE, 1, v, seed=0).length,
                  id="SignalSpec-length"),
     pytest.param("component_count",
-                 lambda v: hippomem.SignalSpec(_SINE, v, 16, seed=0).component_count,
+                 lambda v: SignalSpec(_SINE, v, 16, seed=0).component_count,
                  id="SignalSpec-component_count"),
     pytest.param("seed_count", _table_seed_count, id="run_table-seed_count"),
 ])

@@ -1,7 +1,8 @@
 """The public surface other code relies on: README's example and perfbench's calls.
 
 Both are read as text and never changed here; a rename or deletion in
-`hippomem` that would break them fails these tests instead.
+`hippomem` that would break them fails these tests instead, and so does a
+package export that neither of them uses.
 """
 
 import ast
@@ -30,12 +31,27 @@ def test_readme_library_example_runs():
     assert np.isfinite(namespace["summary"]).all()
 
 
-def test_every_name_the_benchmark_uses_resolves():
+def benchmark_names() -> set[str]:
+    """The `hm.<name>` uses in perfbench/workloads.py."""
     names = set(re.findall(r"\bhm\.([A-Za-z_]\w*)",
                            (ROOT / "perfbench" / "workloads.py").read_text()))
     assert names, "perfbench/workloads.py no longer calls hm.<name>"
-    missing = sorted(name for name in names if not hasattr(hippomem, name))
+    return names
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    missing = sorted(name for name in benchmark_names() if not hasattr(hippomem, name))
     assert not missing, missing
+
+
+def test_exports_are_what_the_readme_and_benchmark_use():
+    readme = {alias.name for node in ast.walk(ast.parse(readme_example()))
+              if isinstance(node, ast.ImportFrom) and node.module == "hippomem"
+              for alias in node.names}
+    # the type zero_state returns and the error history_kernel and build_bank raise
+    types = {"MemoryState", "InstabilityError"}
+    assert set(hippomem.__all__) == readme | benchmark_names() | types
+    assert len(hippomem.__all__) == len(set(hippomem.__all__)) == 19
 
 
 def test_every_traced_function_exists():

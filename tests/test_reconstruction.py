@@ -14,9 +14,9 @@ from hippomem import (
     build_reconstruction_bank,
     history_kernel,
     retrieve,
-    sample_points,
     zero_state,
 )
+from hippomem.reconstruction import sample_points
 from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
 
 UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
@@ -36,6 +36,15 @@ def test_strategy_takes_a_kind_name():
             == SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5))
     with pytest.raises(ValueError, match="unknown sampling strategy 'linear'"):
         SamplingStrategy("linear")
+
+
+def test_a_kind_name_is_not_a_strategy():
+    # a name carries no decay; both used to fail with an AttributeError
+    message = "strategy must be a SamplingStrategy, got 'uniform'"
+    with pytest.raises(TypeError, match=message):
+        sample_points("uniform", 1.0, 4)
+    with pytest.raises(TypeError, match=message):
+        build_reconstruction_bank(build_operator(4), "uniform", 2, 4, 2)
 
 
 def test_exponential_points_ordered_oldest_first():

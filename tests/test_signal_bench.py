@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from hippomem import (
-    Scheme,
+from hippomem import Scheme, signal_bench
+from hippomem.signal_bench import (
     SignalKind,
     SignalSpec,
     generate_signal,
+    rows_to_csv,
+    rows_to_json,
     run_benchmark,
     run_table,
 )
-from hippomem import signal_bench
-from hippomem.signal_bench import rows_to_csv, rows_to_json
 
 
 def test_same_seed_same_signal():
