@@ -48,8 +48,6 @@ from .reconstruction import (
 
 __all__ = [
     "CacheError",
-    "kernel_bank_path",
-    "reconstruction_bank_path",
     "write_kernel_bank",
     "read_kernel_bank",
     "write_reconstruction_bank",
@@ -77,20 +75,6 @@ _STRATEGY_FROM_TAG = {v: k for k, v in _STRATEGY_TAGS.items()}
 
 class CacheError(ValueError):
     """Cache file is missing, corrupt, or describes different parameters."""
-
-
-def kernel_bank_path(cache_dir: str, order: int, block_length: int,
-                     scheme: Scheme, max_blocks: int) -> str:
-    name = f"kernel_N{order}_L{block_length}_{scheme.value}_B{max_blocks}.emkb"
-    return os.path.join(cache_dir, name)
-
-
-def reconstruction_bank_path(cache_dir: str, order: int, block_length: int,
-                             strategy: SamplingStrategy, mem_length: int,
-                             max_blocks: int) -> str:
-    name = (f"recon_N{order}_L{block_length}_{strategy.label()}"
-            f"_M{mem_length}_B{max_blocks}.emrb")
-    return os.path.join(cache_dir, name)
 
 
 def _write(path: str, magic: bytes, order: int, block_length: int, tag: int,
@@ -216,8 +200,9 @@ def load_or_build_kernel_bank(
 ) -> tuple[BlockKernelBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
     scheme = Scheme(scheme)
+    name = f"kernel_N{op.order}_L{block_length}_{scheme.value}_B{max_blocks}.emkb"
     return _load_or_build(
-        kernel_bank_path(cache_dir, op.order, block_length, scheme, max_blocks),
+        os.path.join(cache_dir, name),
         read_kernel_bank, write_kernel_bank,
         lambda: build_bank(op, block_length, scheme, max_blocks),
         order=op.order, block_length=block_length, scheme=scheme, max_blocks=max_blocks)
@@ -229,9 +214,10 @@ def load_or_build_reconstruction_bank(
 ) -> tuple[ReconstructionBank, str, bool]:
     """Return (bank, path, cache_hit); rebuilds and rewrites on any mismatch."""
     _require_strategy(strategy)
+    name = (f"recon_N{op.order}_L{block_length}_{strategy.label()}"
+            f"_M{mem_length}_B{max_blocks}.emrb")
     return _load_or_build(
-        reconstruction_bank_path(cache_dir, op.order, block_length, strategy,
-                                 mem_length, max_blocks),
+        os.path.join(cache_dir, name),
         read_reconstruction_bank, write_reconstruction_bank,
         lambda: build_reconstruction_bank(op, strategy, mem_length, block_length, max_blocks),
         order=op.order, block_length=block_length, strategy=strategy,

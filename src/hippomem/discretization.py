@@ -12,6 +12,12 @@ zero-order hold has a well-defined t0 = 0 limit (Abar -> 0, Bbar -> e0, the
 exact absorption of a constant first segment), which `discretize_interval`
 and `history_kernel` use.
 
+The construction's quantities each have one function: the Legendre table
+(`operators.legendre_table`), the segment coefficients r**A e0 in closed
+form (`segment_coefficients`) and the matrix power r**A by quadrature
+(`transition_power`). Steps, kernels and banks take them from there only,
+so each is computed, and can be timed, in one place.
+
 Under every scheme Bbar_k = (I - Abar_k) e0, because A e0 = B, and the
 Abar_k are rational functions of A, so they commute. A whole-history kernel
 is therefore fixed by one vector per step, with no products of step
@@ -37,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import (
-    HippoOperator, _as_index, _fold_case, _freeze, _legendre_rows, legendre_table,
+    HippoOperator, _as_index, _fold_case, _freeze, legendre_table,
 )
 
 __all__ = [
@@ -121,74 +127,62 @@ def _gauss_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order + 2)-point Gauss-Legendre nodes y_q and weights, and P_m(y_q):
     at x = r (y_q + 1) / 2, g_m on [0, r] is sqrt(2m+1) P_m(y_q) for every r."""
     nodes, weights = np.polynomial.legendre.leggauss(order + 2)
-    return _freeze(nodes), _freeze(weights), _freeze(legendre_table(nodes, order))
+    # (nodes, order) in C order: matmul bits depend on operand layout
+    inner = legendre_table(nodes, order).T.copy()
+    return _freeze(nodes), _freeze(weights), _freeze(inner)
 
 
-def transition_power(op: HippoOperator, ratio: float) -> np.ndarray:
+def transition_power(op: HippoOperator, ratio: float | np.ndarray) -> np.ndarray:
     """The matrix power ratio**A for the lower-triangular operator A.
 
+    A scalar ratio gives one N x N matrix, an array of ratios one per ratio
+    (shape ratios.shape + (N, N)), each with the bits of its scalar call.
     Functionally, ratio**A re-expands projection coefficients from horizon t
     to horizon t/ratio with nothing appended, so entry (n, m) is the inner
     product of the zero-extended basis function g_m (on [0, ratio]) with g_n
     (on [0, 1]). The integrand is a polynomial of degree < 2N, so Gauss-
-    Legendre quadrature with N+1 nodes evaluates it exactly; this stays
-    stable at large N, unlike substitution recurrences or diagonalization,
-    whose intermediates grow combinatorially for this matrix family.
+    Legendre quadrature evaluates it exactly with N nodes; `_gauss_table`
+    takes N+2. This stays stable at large N, unlike substitution recurrences
+    or diagonalization, whose intermediates grow combinatorially for this
+    matrix family. The inner factor comes from the per-order `_gauss_table`,
+    so only the outer one, g_n on the unit horizon at x = r (y_q + 1) / 2,
+    takes a `legendre_table` call; one stacked matmul folds every ratio's
+    weighted outer table with the inner table, and s s^T (s = B) scales the
+    result. The diagonal is pinned to its exact value ratio**(n+1); ratio 0
+    gives exact zeros and ratio 1 the identity.
     """
-    if not 0.0 <= ratio <= 1.0:
+    ratios = np.asarray(ratio, dtype=float)
+    if ratios.size and not (0.0 <= ratios.min() and ratios.max() <= 1.0):
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     n = op.order
-    if ratio == 0.0:
-        return np.zeros((n, n))
-    if ratio == 1.0:
-        return np.eye(n)
-    power = np.empty((1, n, n))
-    _transition_powers(op, np.array([ratio], dtype=float), power)
-    return power[0]
-
-
-def _transition_powers(op: HippoOperator, ratios: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[j] with ratios[j]**A for ratios strictly inside (0, 1).
-
-    The quadrature of `transition_power` for all the ratios at once. The
-    inner factor comes from the per-order `_gauss_table`, so only the outer
-    one, g_n on the unit horizon at x = r (y_q + 1) / 2, takes a
-    `legendre_table` call. One stacked matmul folds every ratio's weighted
-    outer table with the inner table, and s s^T (s = B) scales the result.
-    Each out[j] has the bits a one-ratio call gives.
-    """
-    n = op.order
     nodes, weights, inner = _gauss_table(n)
-    r = ratios[:, None]
-    outer = legendre_table(r * (nodes + 1.0) - 1.0, n).reshape(ratios.size, nodes.size, n)
+    r = ratios.reshape(-1, 1)
+    # (ratios x nodes, n) in C order: matmul bits depend on operand layout
+    outer = legendre_table(r * (nodes + 1.0) - 1.0, n).T.copy().reshape(r.size, nodes.size, n)
     outer *= (weights * r / 2.0)[:, :, None]
-    np.matmul(outer.transpose(0, 2, 1), inner, out=out)
-    out *= np.outer(op.b_vector, op.b_vector)
-    # the diagonal is analytically ratio**(n+1); pin it to kill quadrature
-    # roundoff. Index arrays write through any view; a reshape might copy.
+    power = np.matmul(outer.transpose(0, 2, 1), inner)
+    power *= np.outer(op.b_vector, op.b_vector)
     diag = np.arange(n)
-    out[:, diag, diag] = r ** (diag + 1.0)
+    power[:, diag, diag] = r ** (diag + 1.0)
+    power[r[:, 0] == 0.0] = 0.0
+    power[r[:, 0] == 1.0] = np.eye(n)
+    return power.reshape(ratios.shape + (n, n))
 
 
 def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
     """Projection coefficients of the indicator of [0, r] at unit horizon.
 
-    Row j holds (r**A @ e0) for r = ratios[j], in closed form:
-    psi_0(r) = r and psi_n(r) = (P_{n+1}(2r-1) - P_{n-1}(2r-1)) / (2 sqrt(2n+1)).
-    Consecutive differences of these rows are the zero-order-hold kernel
+    Column j holds (r**A @ e0) for r = ratios[j], as (N, ratios.size) rows
+    in closed form: psi_0(r) = r and
+    psi_n(r) = (P_{n+1}(2r-1) - P_{n-1}(2r-1)) / (2 sqrt(2n+1)).
+    Consecutive differences of these columns are the zero-order-hold kernel
     columns, which is what makes whole-history compression a single matmul.
-    A transposed copy of `_segment_rows`, which kernels difference directly.
     """
-    ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
+    ratios = np.asarray(ratios, dtype=float).ravel()
     if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
         raise ValueError("ratios must lie in [0, 1]")
-    return _segment_rows(op, ratios).T.copy()
-
-
-def _segment_rows(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
-    """psi_0 .. psi_{N-1} of `segment_coefficients` as (N, ratios.size) rows."""
     n = op.order
-    table = _legendre_rows(2.0 * ratios - 1.0, n + 1)
+    table = legendre_table(2.0 * ratios - 1.0, n + 1)
     out = np.empty((n, ratios.size))
     out[0] = ratios
     np.subtract(table[2:], table[:n - 1], out=out[1:])
@@ -232,7 +226,7 @@ def discretize_interval(
             ratio = t_start / t_end
             a_bar = transition_power(op, ratio)
             seg = segment_coefficients(op, np.array([ratio, 1.0]))
-            b_bar = seg[1] - seg[0]
+            b_bar = seg[:, 1] - seg[:, 0]
         elif scheme is Scheme.FORWARD_EULER:
             a_bar = eye - (delta / t_start) * a
             b_bar = (delta / t_start) * b
@@ -350,13 +344,14 @@ def _fold_steps(
     consecutive differences of `segment_coefficients` per block. Consecutive
     blocks are taken in groups of about `_GROUP_POINTS` Legendre points
     (N + 2 quadrature nodes or L + 1 segment ends per block, whichever is
-    more), so the two Legendre recurrences (outer nodes, segment ends) run
-    once per group, not once per block; the inner node table is built once
-    per order. Each block's matrix power and kernel are then written
-    straight into the caller's stacks, with the same bits as
-    `transition_power` and a one-block `segment_coefficients`. Groups stay
-    small because their node tables add directly to peak RSS: building all
-    256 blocks of an N = 128 bank at once would take two 34 MB tables.
+    more), so each group takes one `transition_power` call over its ratios
+    and one `segment_coefficients` call over its segment ends: the two
+    Legendre recurrences run once per group, not once per block, and the
+    inner node table once per order. The group's matrix powers are copied
+    into the caller's stack and its kernels differenced straight into it,
+    with the bits of one-block calls. Groups stay small because their node
+    tables add directly to peak RSS: building all 256 blocks of an N = 128
+    bank at once would take two 34 MB tables.
 
     Other schemes walk all the steps from the last down to step 1 in chunks
     of `_CHUNK_STEPS`, across block boundaries, so short blocks share one
@@ -377,9 +372,9 @@ def _fold_steps(
             last = min(blocks, first + group)
             i = np.arange(first, last)
             start, horizon = i * ell + 1, (i + 1) * ell + 1
-            _transition_powers(op, start / horizon, transitions[first:last])
+            transitions[first:last] = transition_power(op, start / horizon)
             points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
-            seg = _segment_rows(op, points.ravel()).reshape(n, last - first, ell + 1)
+            seg = segment_coefficients(op, points).reshape(n, last - first, ell + 1)
             out = kernels[first:last].transpose(1, 0, 2)
             np.subtract(seg[..., 1:], seg[..., :-1], out=out)
         return
@@ -518,7 +513,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     fixed by the vectors u_a = Abar_{a+1} ... Abar_{length-1} e0: column 0
     is u_0 and column a is u_a - u_{a-1}.
       ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form,
-      differenced straight from one row-major Legendre table.
+      differenced straight from its (N, length + 1) rows.
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
       Bilinear: `_scan_kernel`, an O(T log T) scan per state row.
@@ -533,7 +528,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     n = op.order
     kernel = np.empty((n, length))
     if scheme is Scheme.ZOH:
-        seg = _segment_rows(op, np.arange(length + 1) / length)
+        seg = segment_coefficients(op, np.arange(length + 1) / length)
         np.subtract(seg[:, 1:], seg[:, :-1], out=kernel)
     elif scheme is Scheme.BILINEAR:
         _scan_kernel(op, kernel)

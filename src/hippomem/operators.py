@@ -69,7 +69,7 @@ def build_operator(order: int) -> HippoOperator:
     return HippoOperator(order=order, a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
-def _legendre_rows(z: np.ndarray, count: int) -> np.ndarray:
+def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     """P_0..P_{count-1} at each of the given points, as (count, points) rows.
 
     Bonnet three-term recurrence, run in place over the rows, so each degree
@@ -78,6 +78,7 @@ def _legendre_rows(z: np.ndarray, count: int) -> np.ndarray:
     then / k. Arguments within CLAMP_TOL of [-1, 1] are clamped; values
     beyond it, and NaN, are rejected.
     """
+    count = _as_index("count", count)
     z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
@@ -97,16 +98,12 @@ def _legendre_rows(z: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
-def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
-    """`_legendre_rows` as a C-contiguous (z.size, count) copy: callers slice
-    it into matmul operands, and matmul bits depend on operand layout."""
-    return _legendre_rows(z, _as_index("count", count)).T.copy()
-
-
 def basis_matrix(xs: np.ndarray, t: float, count: int) -> np.ndarray:
     """Rows of basis values g_0..g_{count-1} at coordinates xs under horizon t."""
-    if t <= 0:
-        raise ValueError(f"time horizon must be positive, got {t}")
-    table = legendre_table(2.0 * np.asarray(xs, dtype=float) / t - 1.0, count)
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"time horizon must be positive and finite, got {t}")
+    # (points, count) in C order: callers slice it into matmul operands, and
+    # matmul bits depend on operand layout
+    table = legendre_table(2.0 * np.asarray(xs, dtype=float) / t - 1.0, count).T.copy()
     table *= np.sqrt(2.0 * np.arange(count) + 1.0)
     return table

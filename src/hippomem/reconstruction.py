@@ -89,8 +89,8 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
     """
     _require_strategy(strategy)
     count = _as_index("count", count)
-    if history_length <= 0:
-        raise ValueError(f"history_length must be positive, got {history_length}")
+    if not 0.0 < history_length < np.inf:
+        raise ValueError(f"history_length must be positive and finite, got {history_length}")
     j = np.arange(count, dtype=float)
     if strategy.kind is SamplingKind.UNIFORM:
         pts = j * history_length / count

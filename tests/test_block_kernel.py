@@ -104,20 +104,18 @@ def test_zoh_bank_equals_per_block_quadrature_and_segments(order, ell, blocks):
         start, horizon = i * ell + 1, (i + 1) * ell + 1
         seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
         np.testing.assert_array_equal(bank.transitions[i], transition_power(op, start / horizon))
-        np.testing.assert_array_equal(bank.kernels[i], (seg[1:] - seg[:-1]).T)
+        np.testing.assert_array_equal(bank.kernels[i], seg[:, 1:] - seg[:, :-1])
     assert bank.transitions.strides == np.empty((blocks, order, order)).strides
     assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
 
 
 def test_zoh_bank_makes_two_legendre_tables_per_group(monkeypatch):
     # outer quadrature nodes and segment ends; the inner node table is built
-    # once per order, on the first call. Segment ends take the row-major
-    # table, the quadrature nodes the transposed one: count both.
+    # once per order, on the first call
     calls = []
-    for name in ("legendre_table", "_legendre_rows"):
-        real = getattr(discretization, name)
-        monkeypatch.setattr(discretization, name,
-                            lambda z, count, real=real: calls.append(count) or real(z, count))
+    real = discretization.legendre_table
+    monkeypatch.setattr(discretization, "legendre_table",
+                        lambda z, count: calls.append(count) or real(z, count))
     discretization._gauss_table.cache_clear()
     op = build_operator(32)
     assert _GROUP_POINTS // 65 == 63  # so 70 blocks of L = 64 take 2 groups

@@ -22,7 +22,6 @@ from hippomem import (
 )
 from hippomem.discretization import (
     _check_finite,
-    _transition_powers,
     discretize_interval,
     segment_coefficients,
     transition_power,
@@ -186,15 +185,20 @@ def test_transition_power_against_fixed_point_quadrature(order, ratio):
     assert np.abs(power - fixed_point_transition_power(order, ratio)).max() < 1e-13
 
 
-def test_transition_powers_pin_the_diagonal_of_a_strided_out():
-    # the diagonal pin must write through a non-contiguous out view
+def test_batched_transition_power_has_the_bits_of_scalar_calls():
+    # ZOH banks take one stacked call per group of blocks
     op = build_operator(6)
-    ratios = np.array([0.25, 0.5, 63 / 64])
-    out = np.zeros((3, 7, 7))[:, :6, :6]  # its reshape to (3, 36) would copy
-    _transition_powers(op, ratios, out)
-    for power, ratio in zip(out, ratios):
-        np.testing.assert_allclose(power, transition_power(op, ratio), rtol=0, atol=1e-15)
+    ratios = np.array([0.25, 0.0, 0.5, 1.0, 63 / 64])
+    powers = transition_power(op, ratios)
+    assert powers.shape == (5, 6, 6)
+    for power, ratio in zip(powers, ratios):
+        np.testing.assert_array_equal(power, transition_power(op, ratio))
         np.testing.assert_array_equal(np.diag(power), ratio ** np.arange(1.0, 7.0))
+    np.testing.assert_array_equal(powers[1], np.zeros((6, 6)))
+    np.testing.assert_array_equal(powers[3], np.eye(6))
+    assert transition_power(op, np.empty(0)).shape == (0, 6, 6)
+    with pytest.raises(ValueError):
+        transition_power(op, np.array([0.5, 1.5]))
 
 
 def test_transition_power_limits():
@@ -227,7 +231,7 @@ def test_segment_coefficients_against_quadrature():
     op = build_operator(6)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     for r in (0.2, 0.7, 1.0):
-        psi = segment_coefficients(op, np.array([r]))[0]
+        psi = segment_coefficients(op, np.array([r]))[:, 0]
         xs = r * (nodes + 1.0) / 2.0
         from hippomem import basis_matrix
         vals = basis_matrix(xs, 1.0, 6)

@@ -18,7 +18,7 @@ from hippomem.signal_bench import SignalKind, SignalSpec, run_benchmark, run_tab
 
 def legendre(n: int, z: float) -> float:
     """P_n(z) from a one-point table: the scalar case of legendre_table."""
-    return float(legendre_table(np.array([z]), n + 1)[0, n])
+    return float(legendre_table(np.array([z]), n + 1)[n, 0])
 
 
 def test_order_one():
@@ -110,20 +110,20 @@ def test_legendre_table_matches_scalar():
     z = np.linspace(-1, 1, 17)
     table = legendre_table(z, 9)
     for n in range(9):
-        np.testing.assert_allclose(table[:, n], eval_legendre(n, z), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(table[n], eval_legendre(n, z), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("count", [1, 2, 129])
 def test_legendre_table_is_c_contiguous_and_matches_scalar_exactly(count):
-    # a many-point table has the bits of one-point tables
+    # a many-point table has the bits of one-point tables, one row per degree
     z = np.linspace(-1, 1, 33)
     table = legendre_table(z, count)
-    assert table.shape == (33, count)
-    assert table.strides == np.empty((33, count)).strides
+    assert table.shape == (count, 33)
+    assert table.strides == np.empty((count, 33)).strides
     for i, zi in enumerate(z):
         for n in range(0, count, 7):
-            assert table[i, n] == legendre(n, zi)
-    assert legendre_table(np.empty(0), count).shape == (0, count)
+            assert table[n, i] == legendre(n, zi)
+    assert legendre_table(np.empty(0), count).shape == (count, 0)
 
 
 def test_legendre_table_keeps_the_scalar_operation_order():
@@ -134,7 +134,7 @@ def test_legendre_table_keeps_the_scalar_operation_order():
         prev, cur = 1.0, zi
         for k in range(2, 129):
             prev, cur = cur, ((2 * k - 1) * zi * cur - (k - 1) * prev) / k
-            assert table[i, k] == cur
+            assert table[k, i] == cur
 
 
 def test_basis_matrix_examples():
@@ -152,11 +152,19 @@ def test_basis_matrix_matches_scipy():
     for n in range(6):
         expected = math.sqrt(2 * n + 1) * eval_legendre(n, 2.0 * xs / 17.0 - 1.0)
         np.testing.assert_allclose(mat[:, n], expected, rtol=0, atol=1e-13)
+    assert mat.strides == np.empty((4, 6)).strides  # a C-order matmul operand
     for bad in (0.0, -2.0):
         with pytest.raises(ValueError):
             basis_matrix(xs, bad, 3)
     with pytest.raises(ValueError):  # a coordinate beyond the horizon
         basis_matrix(np.array([5.0]), 4.0, 3)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_basis_matrix_rejects_a_non_finite_horizon(t):
+    # 2x/inf - 1 is -1 for every x, which would give the g_n(-1) row silently
+    with pytest.raises(ValueError, match="time horizon must be positive and finite"):
+        basis_matrix(np.array([0.0, 5.0]), t, 3)
 
 
 @pytest.mark.parametrize("t", [1.0, 17.0, 1000.0])

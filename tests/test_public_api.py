@@ -8,11 +8,16 @@ package export that neither of them uses.
 import ast
 import importlib
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hippomem
+from hippomem import Scheme, build_bank, build_operator, history_kernel
+from hippomem.discretization import discretize_interval
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,14 +59,52 @@ def test_exports_are_what_the_readme_and_benchmark_use():
     assert len(hippomem.__all__) == len(set(hippomem.__all__)) == 19
 
 
-def test_every_traced_function_exists():
+def traced_functions() -> list[tuple[str, str]]:
+    """(module, function) of each entry in perfbench/tracer.py's TARGETS."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     targets = next(node.value for node in ast.walk(tree)
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
     pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
     assert pairs, "perfbench/tracer.py has an empty TARGETS"
+    return pairs
+
+
+def test_every_traced_function_exists():
+    pairs = traced_functions()
     missing = [f"{module}.{func}" for module, func in pairs
                if not callable(getattr(importlib.import_module(f"hippomem.{module}"),
                                        func, None))]
     assert not missing, missing
+
+
+QUANTITIES = {"legendre_table", "segment_coefficients", "transition_power"}
+
+
+@pytest.mark.parametrize("entry, reaches", [
+    (lambda op: build_bank(op, 16, Scheme.ZOH, 3), QUANTITIES),
+    (lambda op: history_kernel(op, 40, Scheme.ZOH),
+     {"legendre_table", "segment_coefficients"}),  # a kernel needs no r**A
+    (lambda op: discretize_interval(op, 2.0, 3.0, Scheme.ZOH), QUANTITIES),
+], ids=["build_bank", "history_kernel", "discretize_interval"])
+def test_zoh_paths_reach_the_traced_quantities(monkeypatch, entry, reaches):
+    # the tracer wraps a function by rebinding every hippomem module attribute
+    # bound to it, so work done outside those functions reads 0 in a trace
+    calls = Counter()
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and key.split(".")[0] == "hippomem"]
+    for module, func in traced_functions():
+        if func not in QUANTITIES:
+            continue
+        fn = getattr(importlib.import_module(f"hippomem.{module}"), func)
+
+        def wrapper(*args, fn=fn, func=func, **kwargs):
+            calls[func] += 1
+            return fn(*args, **kwargs)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, attr, wrapper)
+    entry(build_operator(8))
+    assert reaches <= set(calls)

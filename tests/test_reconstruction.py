@@ -77,6 +77,14 @@ def test_sample_points_validation():
         SamplingStrategy(SamplingKind.EXPONENTIAL, 0.0)
 
 
+@pytest.mark.parametrize("history_length", [np.nan, np.inf])
+@pytest.mark.parametrize("strategy", [UNIFORM, SamplingStrategy(SamplingKind.EXPONENTIAL, 0.9)])
+def test_sample_points_rejects_a_non_finite_horizon(strategy, history_length):
+    # NaN would give NaN points and inf points at inf, not increasing in [0, t)
+    with pytest.raises(ValueError, match="history_length must be positive and finite"):
+        sample_points(strategy, history_length, 4)
+
+
 def test_exponential_collisions_are_nudged_not_dropped():
     # decay**j underflows below float spacing long before j = 200
     strategy = SamplingStrategy(SamplingKind.EXPONENTIAL, 0.5)
