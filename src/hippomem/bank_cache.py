@@ -21,9 +21,10 @@ A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
 so that files written by older code are rebuilt rather than read (version 5:
-ZOH transitions from the per-order Gauss-Legendre node table). A read bank's
-arrays are read-only views into the file's bytes, not copies, so a read
-holds one copy of the payload; the 40-byte header keeps it 8-byte aligned.
+ZOH transitions from the per-order Gauss-Legendre node table). A writer
+streams each array's own buffer into the file and its checksum, and a read
+bank's arrays are read-only views into the file's bytes, so neither copies
+the payload; the 40-byte header keeps it 8-byte aligned.
 """
 
 from __future__ import annotations
@@ -80,22 +81,25 @@ class CacheError(ValueError):
 def _write(path: str, magic: bytes, order: int, block_length: int, tag: int,
            max_blocks: int, mem_length: int, decay: float,
            payload_arrays: list[np.ndarray]) -> int:
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in payload_arrays)
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in payload_arrays]
     fields = _FIELDS.pack(magic, _VERSION, order, block_length, tag,
                           max_blocks, mem_length, decay)
-    data = fields + _CHECKSUM.pack(zlib.crc32(payload, zlib.crc32(fields))) + payload
+    checksum = zlib.crc32(fields)
+    for arr in arrays:
+        checksum = zlib.crc32(arr, checksum)
     # a private temp file per writer, so concurrent builders of one bank
     # never replace each other's half-written file
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(fields + _CHECKSUM.pack(checksum))
+            for arr in arrays:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return len(data)
+    return len(fields) + _CHECKSUM.size + sum(arr.nbytes for arr in arrays)
 
 
 def _read(path: str, magic: bytes) -> tuple[tuple, np.ndarray]:

@@ -104,15 +104,14 @@ def _cmd_build_banks(args: argparse.Namespace) -> int:
     op = build_operator(args.order)
     scheme = Scheme(args.scheme)
     strategy = SamplingStrategy(args.strategy, args.alpha)
-    cache_dir = args.cache_dir
 
     kbank, kpath, khit = load_or_build_kernel_bank(
-        cache_dir, op, args.block_length, scheme, args.max_blocks)
+        args.cache_dir, op, args.block_length, scheme, args.max_blocks)
     rbank, rpath, rhit = load_or_build_reconstruction_bank(
-        cache_dir, op, strategy, args.mem_length, args.block_length, args.max_blocks)
+        args.cache_dir, op, strategy, args.mem_length, args.block_length, args.max_blocks)
 
-    for label, path, hit in (("kernel", kpath, khit), ("reconstruction", rpath, rhit)):
-        size = os.path.getsize(path)
+    ksize, rsize = os.path.getsize(kpath), os.path.getsize(rpath)
+    for label, size, hit in (("kernel", ksize, khit), ("reconstruction", rsize, rhit)):
         state = "cache hit, no recomputation" if hit else "built"
         print(f"{label} bank: N={args.order} L={args.block_length} "
               f"max_blocks={args.max_blocks} bytes={size} ({state})")
@@ -120,10 +119,10 @@ def _cmd_build_banks(args: argparse.Namespace) -> int:
         "cmd": "build-banks",
         "pass": True,
         "kernel_path": kpath,
-        "kernel_bytes": os.path.getsize(kpath),
+        "kernel_bytes": ksize,
         "kernel_cache_hit": khit,
         "recon_path": rpath,
-        "recon_bytes": os.path.getsize(rpath),
+        "recon_bytes": rsize,
         "recon_cache_hit": rhit,
     })
     return 0
@@ -200,7 +199,7 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 def _state_checksum(*states) -> str:
     digest = hashlib.sha256()
     for state in states:
-        digest.update(np.ascontiguousarray(state.coefficients, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(state.coefficients, dtype="<f8"))
     return digest.hexdigest()
 
 
@@ -236,7 +235,6 @@ def _run_attention_pass(cfg: AttentionConfig, weights, inputs, kernel_bank,
         "checksums": checksums,
         "row_sum_err": row_sum_err,
         "future_mass": future_mass,
-        "final_checksum": checksums[-1],
     }
 
 
@@ -247,7 +245,6 @@ _ROW_SUM_TOL = 1e-12
 def _cmd_attn_demo(args: argparse.Namespace) -> int:
     if args.blocks < 1:
         raise UsageError(f"--blocks must be >= 1, got {args.blocks}")
-    scheme = Scheme(args.scheme)
     train_strategy = SamplingStrategy(args.train_strategy, args.alpha)
     eval_strategy = SamplingStrategy(args.eval_strategy or args.train_strategy, args.alpha)
     cfg = AttentionConfig(
@@ -257,18 +254,17 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
         block_length=args.block_length,
         mem_length=args.mem_length,
         hippo_order=args.order,
-        scheme=scheme,
+        scheme=args.scheme,
         strategy=train_strategy,
     )
     op = build_operator(cfg.hippo_order)
-    cache = args.cache_dir
     kernel_bank, _, _ = load_or_build_kernel_bank(
-        cache, op, cfg.block_length, scheme, args.blocks)
+        args.cache_dir, op, cfg.block_length, cfg.scheme, args.blocks)
     banks = {}
     for strat in {train_strategy, eval_strategy}:
         if cfg.mem_length > 0:
             banks[strat], _, _ = load_or_build_reconstruction_bank(
-                cache, op, strat, cfg.mem_length, cfg.block_length, args.blocks)
+                args.cache_dir, op, strat, cfg.mem_length, cfg.block_length, args.blocks)
         else:
             banks[strat] = None
 
@@ -286,8 +282,7 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
 
     states_match = run_a["checksums"] == run_b["checksums"]
     retrievals_differ = any(
-        a["memory_keys"].shape != b["memory_keys"].shape
-        or not np.array_equal(a["memory_keys"], b["memory_keys"])
+        not np.array_equal(a["memory_keys"], b["memory_keys"])
         for a, b in zip(run_a["trace"], run_b["trace"])
     )
     checks = {
@@ -299,7 +294,7 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     lines = [
         f"config: heads={cfg.head_count} head_dim={cfg.head_dim} "
         f"L={cfg.block_length} L_mem={cfg.mem_length} N={cfg.hippo_order} "
-        f"scheme={scheme.value} blocks={args.blocks}",
+        f"scheme={cfg.scheme.value} blocks={args.blocks}",
         f"retrieval: train={train_strategy.label()} eval={eval_strategy.label()}",
     ]
     for entry_a in run_a["trace"]:
@@ -311,8 +306,8 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     lines.append(f"max row-sum deviation: {'<=' if checks['rows_sum_to_one'] else '>'} "
                  f"{_ROW_SUM_TOL:g}")
     lines.append(f"max future in-block mass: {run_a['future_mass']:.3e}")
-    lines.append(f"state checksum (train pass): {run_a['final_checksum']}")
-    lines.append(f"state checksum (eval pass):  {run_b['final_checksum']}")
+    lines.append(f"state checksum (train pass): {run_a['checksums'][-1]}")
+    lines.append(f"state checksum (eval pass):  {run_b['checksums'][-1]}")
     lines.append(f"retrieved memory differs across strategies: {retrievals_differ}")
     for name, ok in checks.items():
         lines.append(f"check {name}: {'PASS' if ok else 'FAIL'}")
@@ -330,7 +325,7 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
         "eval_strategy": eval_strategy.label(),
         "states_match": states_match,
         "retrievals_differ": retrievals_differ,
-        "state_checksum": run_a["final_checksum"],
+        "state_checksum": run_a["checksums"][-1],
     })
     return 0 if passed else 1
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +79,8 @@ class InstabilityError(ValueError):
     """A scheme produced a non-finite entry (e.g. forward Euler blow-up)."""
 
 
-@dataclass(frozen=True)
-class DiscreteStep:
-    """Position-dependent step matrices (Abar_k, Bbar_k) for one unit step."""
+class DiscreteStep(NamedTuple):
+    """Read-only step matrices (Abar, Bbar) over one interval; unpacks as a pair."""
 
     a_bar: np.ndarray
     b_bar: np.ndarray
@@ -202,12 +202,15 @@ def _check_finite(scheme: Scheme, *arrays: np.ndarray) -> None:
 
 def discretize_interval(
     op: HippoOperator, t_start: float, t_end: float, scheme: Scheme
-) -> tuple[np.ndarray, np.ndarray]:
+) -> DiscreteStep:
     """Step matrices over [t_start, t_end] with the input held constant.
 
-    t_start = 0 is allowed only for ZOH, where the limit is exact.
+    Both ends must be finite. t_start = 0 is allowed only for ZOH, where
+    the limit is exact.
     """
     scheme = Scheme(scheme)
+    if not np.isfinite([t_start, t_end]).all():
+        raise ValueError(f"interval ends must be finite, got [{t_start}, {t_end}]")
     if t_end <= t_start:
         raise ValueError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     if t_start < 0:
@@ -241,14 +244,13 @@ def discretize_interval(
             raise ValueError(f"unhandled scheme {scheme}")
 
     _check_finite(scheme, a_bar, b_bar)
-    return a_bar, b_bar
+    return DiscreteStep(_freeze(a_bar), _freeze(b_bar))
 
 
 def discretize_step(op: HippoOperator, k: int, scheme: Scheme) -> DiscreteStep:
     """Step matrices for unit step k (covering [k, k+1]); requires k >= 1."""
     k = _as_index("k", k)
-    a_bar, b_bar = discretize_interval(op, float(k), float(k + 1), scheme)
-    return DiscreteStep(a_bar=_freeze(a_bar), b_bar=_freeze(b_bar))
+    return discretize_interval(op, float(k), float(k + 1), scheme)
 
 
 def sequential_update(

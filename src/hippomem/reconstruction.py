@@ -81,11 +81,13 @@ def _require_strategy(value: object) -> None:
 def sample_points(strategy: SamplingStrategy, history_length: float, count: int) -> np.ndarray:
     """Strictly increasing coordinates in [0, t), oldest first.
 
-    Uniform: x_j = j t / count. Exponential: x_j = t (1 - decay**j), whose
-    gaps shrink geometrically toward the recent end. Float collisions among
-    neighbouring exponential points (decay**j below resolution) are resolved
-    by nudging the earlier point down to the nearest unused coordinate, so
-    the requested count is always honoured.
+    Uniform: x_j = j t / count, with a t >= 1 scaled exactly by its binary
+    exponent so that j t cannot overflow; a t < 1 needs no scaling, which
+    would round subnormal points twice. Exponential: x_j = t (1 - decay**j),
+    whose gaps shrink geometrically toward the recent end. Float collisions among neighbouring
+    exponential points (decay**j below resolution) are resolved by nudging
+    the earlier point down to the nearest unused coordinate, so the
+    requested count is always honoured.
     """
     _require_strategy(strategy)
     count = _as_index("count", count)
@@ -93,7 +95,8 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
         raise ValueError(f"history_length must be positive and finite, got {history_length}")
     j = np.arange(count, dtype=float)
     if strategy.kind is SamplingKind.UNIFORM:
-        pts = j * history_length / count
+        shift = max(np.frexp(history_length)[1], 0)
+        pts = np.ldexp(j * np.ldexp(history_length, -shift) / count, shift)
     else:
         pts = history_length * (1.0 - strategy.decay ** j)
     # decay**j can underflow past float spacing, saturating points at t

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .discretization import Scheme, history_kernel
-from .operators import _as_index, basis_matrix, build_operator
+from .operators import _as_index, _freeze, basis_matrix, build_operator
 
 __all__ = [
     "SignalKind",
@@ -98,17 +98,13 @@ def generate_signal(spec: SignalSpec) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _cached_kernel(order: int, length: int, scheme: Scheme) -> np.ndarray:
-    kernel = history_kernel(build_operator(order), length, scheme)
-    kernel.setflags(write=False)
-    return kernel
+    return _freeze(history_kernel(build_operator(order), length, scheme))
 
 
 @lru_cache(maxsize=16)
 def _cached_probe_matrix(order: int, length: int) -> np.ndarray:
     # probe points are the uniform sampling points at L_mem = length: x_j = j
-    mat = basis_matrix(np.arange(length, dtype=float), float(length), order)
-    mat.setflags(write=False)
-    return mat
+    return _freeze(basis_matrix(np.arange(length, dtype=float), float(length), order))
 
 
 def run_benchmark(spec: SignalSpec, order: int, scheme: Scheme) -> float:

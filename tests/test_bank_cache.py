@@ -21,6 +21,7 @@ from hippomem import (
     zero_state,
 )
 from hippomem.attention import init_weights
+from hippomem.block_kernel import BlockKernelBank
 from hippomem.bank_cache import (
     CacheError,
     load_or_build_kernel_bank,
@@ -93,6 +94,23 @@ def test_write_is_deterministic(tmp_path):
     write_kernel_bank(str(p1), bank)
     write_kernel_bank(str(p2), bank)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_streams_the_layout_from_any_array_order(tmp_path):
+    bank = build_bank(build_operator(5), 3, Scheme.BILINEAR, 2)
+    fortran = BlockKernelBank(bank.block_length, bank.order, bank.scheme,
+                              np.asfortranarray(bank.transitions),
+                              np.asfortranarray(bank.kernels))
+    assert not fortran.transitions.flags.c_contiguous
+    payload = bank.transitions.tobytes() + bank.kernels.tobytes()
+    for name, written in (("c", bank), ("f", fortran)):
+        path = tmp_path / name
+        size = write_kernel_bank(str(path), written)
+        data = path.read_bytes()
+        assert size == len(data) == _CHECKSUM_AT + 4 + len(payload)
+        assert data[_CHECKSUM_AT + 4:] == payload
+        (checksum,) = struct.unpack_from("<I", data, _CHECKSUM_AT)
+        assert checksum == zlib.crc32(payload, zlib.crc32(data[:_CHECKSUM_AT]))
 
 
 def test_magic_mismatch_rejected(tmp_path):

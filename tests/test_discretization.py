@@ -21,6 +21,7 @@ from hippomem import (
     zero_state,
 )
 from hippomem.discretization import (
+    DiscreteStep,
     _check_finite,
     discretize_interval,
     segment_coefficients,
@@ -336,6 +337,30 @@ def test_interval_rejects_singular_starts():
     a_bar, b_bar = discretize_interval(op, 0.0, 1.0, Scheme.ZOH)
     np.testing.assert_array_equal(a_bar, np.zeros((4, 4)))
     np.testing.assert_allclose(b_bar, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interval_rejects_non_finite_ends(scheme, bad):
+    # ZOH used to return the exact-absorption step for [1, inf]; the others
+    # raised InstabilityError, blaming the scheme
+    op = build_operator(4)
+    for t_start, t_end in ((bad, 2.0), (1.0, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="interval ends must be finite") as info:
+            discretize_interval(op, t_start, t_end, scheme)
+        assert not isinstance(info.value, InstabilityError)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_step_is_one_read_only_discrete_step(scheme):
+    op = build_operator(5)
+    step = discretize_step(op, 3, scheme)
+    interval = discretize_interval(op, 3.0, 4.0, scheme)
+    assert type(step) is type(interval) is DiscreteStep
+    a_bar, b_bar = interval
+    for got, want in ((a_bar, step.a_bar), (b_bar, step.b_bar)):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_schemes_agree_under_refinement():

@@ -1,5 +1,7 @@
 """Sampling strategies, reconstruction banks, and retrieval."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
@@ -83,6 +85,22 @@ def test_sample_points_rejects_a_non_finite_horizon(strategy, history_length):
     # NaN would give NaN points and inf points at inf, not increasing in [0, t)
     with pytest.raises(ValueError, match="history_length must be positive and finite"):
         sample_points(strategy, history_length, 4)
+
+
+def test_uniform_points_near_the_float_maximum_do_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = sample_points(UNIFORM, 1e308, 4)
+    np.testing.assert_array_equal(pts, [0.0, 2.5e307, 5e307, 7.5e307])
+
+
+def test_uniform_points_are_bit_identical_to_j_t_over_count():
+    # wherever j t is finite, subnormal points included (t = 1e-310, 1.6e-306)
+    for t in [1e-310, 1.6e-306, 1e-300, 3e-9, 0.1, 1.0 / 3.0, 1.0, 2.0, 7.0, 100.0,
+              1000.5, 2.0**40 + 1.0, 1e300, 1.75 * 2.0**1010]:
+        for count in [1, 2, 3, 5, 7, 10, 16, 33, 64, 100, 1000, 4097]:
+            j = np.arange(count, dtype=float)
+            np.testing.assert_array_equal(sample_points(UNIFORM, t, count), j * t / count)
 
 
 def test_exponential_collisions_are_nudged_not_dropped():

@@ -1,0 +1,130 @@
+"""Work counts that fix each public path's cost class.
+
+Wall time on a shared host moves by tens of percent between runs; these
+counts do not. Each test wraps module attributes, as the tracer does, and
+fails on a structural regression (an extra pass, a lost closed form, a copy
+of a payload) without a benchmark run.
+"""
+
+import math
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from hippomem import (
+    AttentionConfig,
+    BlockIO,
+    SamplingKind,
+    SamplingStrategy,
+    Scheme,
+    build_bank,
+    build_operator,
+    build_reconstruction_bank,
+    forward_block,
+    zero_state,
+)
+from hippomem import attention, discretization
+from hippomem.attention import init_weights
+from hippomem.bank_cache import write_kernel_bank
+from hippomem.discretization import _GROUP_POINTS, history_kernel
+
+
+def count_calls(monkeypatch, module, *names):
+    """Counter of calls to each named attribute of module, from now on."""
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+KERNEL_PATHS = ("segment_coefficients", "transition_power", "_hahn_kernel",
+                "_fold_steps", "_scan_kernel")
+
+
+@pytest.mark.parametrize("order, length", [(4, 1), (4, 3), (32, 40), (32, 2048)])
+def test_zoh_kernel_is_one_segment_table_and_no_matrix_power(monkeypatch, order, length):
+    calls = count_calls(monkeypatch, discretization, *KERNEL_PATHS)
+    history_kernel(build_operator(order), length, Scheme.ZOH)
+    assert calls == Counter(segment_coefficients=1)
+
+
+@pytest.mark.parametrize("order, length", [(4, 1), (4, 3), (32, 40), (128, 300), (32, 2048)])
+def test_backward_euler_kernel_is_the_closed_form_at_every_size(monkeypatch, order, length):
+    calls = count_calls(monkeypatch, discretization, *KERNEL_PATHS)
+    history_kernel(build_operator(order), length, Scheme.BACKWARD_EULER)
+    assert calls == Counter(_hahn_kernel=1)
+
+
+@pytest.mark.parametrize("order, length, closed_form", [
+    (8, 21, False),   # 4 * 20 = 80 < 81 = (N + 1)^2
+    (8, 22, True),    # 4 * 21 = 84 >= 81
+    (5, 10, True),    # 4 * 9 = 36 = (N + 1)^2: the boundary takes the closed form
+    (4, 3, False),
+    (32, 300, True),
+    (32, 200, False),
+])
+def test_forward_euler_kernel_folds_steps_only_below_the_hahn_line(
+        monkeypatch, order, length, closed_form):
+    assert (4 * (length - 1) >= (order + 1) ** 2) is closed_form
+    calls = count_calls(monkeypatch, discretization, *KERNEL_PATHS)
+    history_kernel(build_operator(order), length, Scheme.FORWARD_EULER)
+    assert calls == Counter(**{"_hahn_kernel" if closed_form else "_fold_steps": 1})
+
+
+@pytest.mark.parametrize("order, length", [(4, 1), (4, 3), (32, 40), (32, 2048)])
+def test_bilinear_kernel_is_one_scan(monkeypatch, order, length):
+    calls = count_calls(monkeypatch, discretization, *KERNEL_PATHS)
+    history_kernel(build_operator(order), length, Scheme.BILINEAR)
+    assert calls == Counter(_scan_kernel=1)
+
+
+@pytest.mark.parametrize("order, block_length, blocks", [
+    (8, 4, 1),
+    (16, 8, 100),     # one group of 227 blocks holds them all
+    (32, 64, 70),     # groups of 63 blocks
+    (128, 64, 256),   # groups of 31 blocks, as in the stream benchmark
+    (4, 1, 1500),     # groups of 682 blocks
+    (2, 5000, 3),     # L + 1 > _GROUP_POINTS: one block per group
+])
+def test_zoh_bank_makes_one_matrix_power_call_per_group(monkeypatch, order, block_length, blocks):
+    group = max(1, _GROUP_POINTS // max(order + 2, block_length + 1))
+    calls = count_calls(monkeypatch, discretization, "transition_power")
+    build_bank(build_operator(order), block_length, Scheme.ZOH, blocks)
+    assert calls["transition_power"] == math.ceil(blocks / group)
+
+
+@pytest.mark.parametrize("block_index, retrievals", [(1, 0), (2, 2)])
+def test_forward_block_updates_and_retrieves_each_state_once(monkeypatch, block_index, retrievals):
+    cfg = AttentionConfig(model_dim=8, head_count=2, head_dim=4, block_length=4, mem_length=3,
+                          hippo_order=6, scheme=Scheme.ZOH,
+                          strategy=SamplingStrategy(SamplingKind.UNIFORM))
+    op = build_operator(cfg.hippo_order)
+    kernel = build_bank(op, cfg.block_length, cfg.scheme, 2)
+    recon = build_reconstruction_bank(op, cfg.strategy, cfg.mem_length, cfg.block_length, 2)
+    weights = init_weights(cfg, 0)
+    state = zero_state(cfg.hippo_order, cfg.model_dim)
+    if block_index == 2:
+        first = BlockIO(np.ones((4, 8)), state, state, 1)
+        state = forward_block(first, weights, cfg, kernel, recon).key_state
+    calls = count_calls(monkeypatch, attention, "block_update", "retrieve", "apply_rotary")
+    forward_block(BlockIO(np.ones((4, 8)), state, state, block_index), weights, cfg,
+                  kernel, recon)
+    assert calls == Counter(block_update=2, apply_rotary=2, retrieve=retrievals)
+
+
+def test_bank_writer_holds_no_copy_of_the_payload(tmp_path):
+    bank = build_bank(build_operator(32), 64, Scheme.ZOH, 64)
+    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    assert payload >= 1 << 20
+    tracemalloc.start()
+    try:
+        write_kernel_bank(str(tmp_path / "bank.emkb"), bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 4, (peak, payload)
