@@ -20,8 +20,8 @@ skip the N^3-scale precomputation:
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
-so that files written by older code are rebuilt rather than read (version 5:
-ZOH transitions from the per-order Gauss-Legendre node table). A writer
+so that files written by older code are rebuilt rather than read (version 6:
+backward Euler and bilinear banks from the row scan). A writer
 streams each array's own buffer into the file and its checksum, and a read
 bank's arrays are read-only views into the file's bytes, so neither copies
 the payload; the 40-byte header keeps it 8-byte aligned.
@@ -59,7 +59,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 5
+_VERSION = 6
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 

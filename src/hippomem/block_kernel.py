@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import MemoryState, Scheme, _check_finite, _fold_steps
+from .discretization import MemoryState, Scheme, _check_finite, _fill_bank
 from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
@@ -52,7 +52,7 @@ def build_bank(
     n, ell = op.order, block_length
     transitions = np.empty((max_blocks, n, n))
     kernels = np.empty((max_blocks, n, ell))
-    _fold_steps(op, scheme, transitions, kernels)
+    _fill_bank(op, scheme, transitions, kernels)
     _check_finite(scheme, transitions, kernels)
     return BlockKernelBank(
         block_length=block_length,

@@ -398,7 +398,7 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-    cache_dir = os.environ.get(_CACHE_ENV, os.path.join(os.getcwd(), ".bank_cache"))
+    cache_dir = os.environ.get(_CACHE_ENV) or os.path.join(os.getcwd(), ".bank_cache")
 
     p = sub.add_parser("build-banks", help="precompute and cache bank files")
     _add_common(p, "order", "block_length", "mem_length", "scheme", "strategy",

@@ -28,10 +28,12 @@ kernels come out of discrete Chebyshev (Hahn) polynomials (`_hahn_kernel`).
 Forward Euler uses that form where 4(T-1) >= (N+1)^2, the range in which
 those polynomials stay bounded; backward Euler at every size. Bilinear gets
 its kernel from a scan over the steps, one state row at a time
-(`_scan_kernel`). Shorter forward Euler histories, whose early steps
-amplify the high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), and every
-bank (banks need the full transition products) stay on the step-matrix
-fold (`_fold_steps`).
+(`_scan_kernel`). Backward Euler and bilinear banks run the same scan over
+each block's own steps from every start column, with no step matrices
+either; ZOH banks take one matrix power per block. Shorter forward Euler
+histories and forward Euler banks, whose early steps amplify the
+high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), stay on the
+step-matrix fold (`_fold_steps`).
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def discretize_interval(
     # overflow is surfaced by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme is Scheme.ZOH:
-            # the single-step case of _fold_steps: a segment-coefficient difference
+            # the single-step case of a ZOH bank: a segment-coefficient difference
             ratio = t_start / t_end
             a_bar = transition_power(op, ratio)
             seg = segment_coefficients(op, np.array([ratio, 1.0]))
@@ -272,66 +274,16 @@ def sequential_update(
 
 # Unit steps per chunk in `_fold_steps`. The chunk stack holds
 # CHUNK x N x N floats (0.5 MB at N = 32); a larger chunk adds to peak RSS
-# and saves only per-row call overhead in `_build_steps`.
+# and saves only per-chunk call overhead in the step arithmetic.
 _CHUNK_STEPS = 64
 
-# Legendre points per block group in the ZOH branch of `_fold_steps`. Each
-# node table holds GROUP x N floats (4 MB at N = 128); a larger group adds
-# to peak RSS and saves only per-degree call overhead in `legendre_table`.
+# Points per block group in `_fill_bank`. Each node table or scan array
+# holds GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS
+# and saves only per-degree or per-row call overhead.
 _GROUP_POINTS = 4096
 
 
-def _build_steps(
-    op: HippoOperator, k: np.ndarray, scheme: Scheme,
-    a_bars: np.ndarray, b_bars: np.ndarray,
-) -> None:
-    """Fill a_bars[j], b_bars[j] with the non-ZOH step matrices of step k[j].
-
-    Forward Euler is the per-element arithmetic of `discretize_interval`,
-    broadcast over the steps. Backward Euler and bilinear solve
-    M X = [I | B] with M = I + c A by forward substitution over the rows,
-    vectorised over the steps and the N + 1 columns: the LegS A is diag(n+1)
-    plus the strict lower triangle of s s^T with s = B, so
-    x_n = (y_n - c s_n sum_{m<n} s_m x_m) / (1 + c (n+1)), and a running sum
-    makes each step O(N^2). Backward Euler (c = h) takes Abar = M^-1;
-    bilinear (c = h/2) takes Abar = 2 M^-1 - I, which equals M^-1 (I - c A).
-    Both take Bbar = h M^-1 B.
-    """
-    a, s = op.a_matrix, op.b_vector
-    n = op.order
-    # overflow is surfaced by the finiteness check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if scheme is Scheme.FORWARD_EULER:
-            h = 1.0 / k
-            np.multiply(h[:, None, None], a, out=a_bars)
-            np.subtract(np.eye(n), a_bars, out=a_bars)
-            np.multiply(h[:, None], s, out=b_bars)
-        elif scheme in (Scheme.BACKWARD_EULER, Scheme.BILINEAR):
-            backward = scheme is Scheme.BACKWARD_EULER
-            h = 1.0 / (k + 1.0) if backward else 1.0 / k
-            c = h if backward else 0.5 * h
-            neg_cs = -c[:, None] * s
-            diag = 1.0 + c[:, None] * np.arange(1.0, n + 1.0)
-            rhs = np.column_stack([np.eye(n), s])
-            total = np.zeros((k.size, n + 1))
-            x = np.empty((k.size, n + 1))
-            for row in range(n):
-                np.multiply(total, neg_cs[:, row, None], out=x)
-                x += rhs[row]
-                x /= diag[:, row, None]
-                a_bars[:, row] = x[:, :n]
-                b_bars[:, row] = x[:, n]
-                total += s[row] * x
-            if not backward:
-                a_bars *= 2.0
-                a_bars -= np.eye(n)
-            b_bars *= h[:, None]
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled scheme {scheme}")
-    _check_finite(scheme, a_bars, b_bars)
-
-
-def _fold_steps(
+def _fill_bank(
     op: HippoOperator, scheme: Scheme, transitions: np.ndarray, kernels: np.ndarray
 ) -> None:
     """Fill (P_i, K_i) for consecutive blocks of unit steps from step 1 on.
@@ -342,52 +294,64 @@ def _fold_steps(
     column j of K_i is the product of the block's step matrices above its
     step j times that step's input vector.
 
-    For ZOH the products telescope into one matrix power per block and
-    consecutive differences of `segment_coefficients` per block. Consecutive
-    blocks are taken in groups of about `_GROUP_POINTS` Legendre points
-    (N + 2 quadrature nodes or L + 1 segment ends per block, whichever is
-    more), so each group takes one `transition_power` call over its ratios
-    and one `segment_coefficients` call over its segment ends: the two
-    Legendre recurrences run once per group, not once per block, and the
-    inner node table once per order. The group's matrix powers are copied
-    into the caller's stack and its kernels differenced straight into it,
-    with the bits of one-block calls. Groups stay small because their node
-    tables add directly to peak RSS: building all 256 blocks of an N = 128
+    Forward Euler multiplies its step matrices (`_fold_steps`). The other
+    schemes take consecutive blocks in groups of about `_GROUP_POINTS`
+    points: N + 2 quadrature nodes or L + 1 segment ends or scan positions
+    per block, whichever is more. Each group fills its slice of the
+    caller's arrays with the bits of one-block calls. For ZOH the products
+    telescope into one matrix power per block and consecutive differences
+    of `segment_coefficients`, so a group takes one `transition_power` and
+    one `segment_coefficients` call: the two Legendre recurrences run once
+    per group, and the inner node table once per order. Backward Euler and
+    bilinear groups take one `_scan_kernel` call. Groups stay small because
+    their arrays add directly to peak RSS: all 256 blocks of an N = 128 ZOH
     bank at once would take two 34 MB tables.
-
-    Other schemes walk all the steps from the last down to step 1 in chunks
-    of `_CHUNK_STEPS`, across block boundaries, so short blocks share one
-    vectorised build. `_build_steps` fills the chunk's step matrices in
-    place, backward Euler and bilinear by an O(N^2) structured solve instead
-    of a dense O(N^3) one; then the sequential suffix-product loop multiplies
-    them in. The chunk stack is allocated once and kept small, because it
-    adds directly to peak RSS; no (steps, N, N) array is ever built. This
-    fold is O(N^3) per step. `history_kernel` uses it only for forward
-    Euler below 4(T-1) >= (N+1)^2, as a one-block bank; banks use it for
-    every non-ZOH scheme, because P_i is a full matrix that no vector scan
-    yields.
     """
     blocks, n, ell = kernels.shape
-    if scheme is Scheme.ZOH:
-        group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
-        for first in range(0, blocks, group):
-            last = min(blocks, first + group)
-            i = np.arange(first, last)
-            start, horizon = i * ell + 1, (i + 1) * ell + 1
+    if scheme is Scheme.FORWARD_EULER:
+        _fold_steps(op, transitions, kernels)
+        return
+    group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
+    for first in range(0, blocks, group):
+        last = min(blocks, first + group)
+        start = np.arange(first, last) * ell + 1
+        if scheme is Scheme.ZOH:
+            horizon = start + ell
             transitions[first:last] = transition_power(op, start / horizon)
             points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
             seg = segment_coefficients(op, points).reshape(n, last - first, ell + 1)
             out = kernels[first:last].transpose(1, 0, 2)
             np.subtract(seg[..., 1:], seg[..., :-1], out=out)
-        return
+        else:
+            steps = start[:, None] + np.arange(ell, dtype=float)
+            _scan_kernel(op, scheme, steps, transitions[first:last], kernels[first:last])
+
+
+def _fold_steps(op: HippoOperator, transitions: np.ndarray, kernels: np.ndarray) -> None:
+    """Fill forward Euler (P_i, K_i) by multiplying step matrices.
+
+    The arrays and blocks are those of `_fill_bank`. The fold walks all the
+    steps from the last down to step 1 in chunks of `_CHUNK_STEPS`, across
+    block boundaries, so short blocks share one vectorised build of the
+    chunk's steps I - A/k and B/k (as in `discretize_interval`); then the
+    sequential suffix-product loop multiplies them in. The chunk stack is
+    allocated once and kept small, because it adds directly to peak RSS; no
+    (steps, N, N) array is ever built. This fold is O(N^3) per step.
+    `history_kernel` uses it for forward Euler below 4(T-1) >= (N+1)^2, as
+    a one-block bank. Forward Euler banks stay on it: their amplifying early
+    steps make the row scan of `_scan_kernel` unstable.
+    """
+    blocks, n, ell = kernels.shape
     transitions[:] = np.eye(n)  # the empty product, kept when L = 0
     size = min(_CHUNK_STEPS, blocks * ell)
     a_bars, b_bars = np.empty((size, n, n)), np.empty((size, n))
     for top in range(blocks * ell, 0, -_CHUNK_STEPS):
         bottom = max(1, top - _CHUNK_STEPS + 1)
         count = top - bottom + 1
-        _build_steps(op, np.arange(bottom, top + 1, dtype=float), scheme,
-                     a_bars[:count], b_bars[:count])
+        h = 1.0 / np.arange(bottom, top + 1, dtype=float)
+        np.multiply(h[:, None, None], op.a_matrix, out=a_bars[:count])
+        np.subtract(np.eye(n), a_bars[:count], out=a_bars[:count])
+        np.multiply(h[:, None], op.b_vector, out=b_bars[:count])
         for j in range(count - 1, -1, -1):
             block, col = divmod(bottom + j - 1, ell)
             if col == ell - 1:
@@ -398,46 +362,77 @@ def _fold_steps(
                 transitions[block] = prod
 
 
-def _scan_kernel(op: HippoOperator, kernel: np.ndarray) -> None:
-    """Fill the N x T bilinear history kernel row by row.
+def _scan_kernel(
+    op: HippoOperator, scheme: Scheme, steps: np.ndarray,
+    transitions: np.ndarray, kernels: np.ndarray,
+) -> None:
+    """Fill backward Euler or bilinear (P_i, K_i) row by row, with no step matrices.
 
-    Column 0 is u_0 and column a >= 1 is h_a M_a^-1 A u_a, where u_{T-1} = e0,
-    u_{a-1} = Abar_a u_a = 2 M_a^-1 u_a - u_a, h_a = 1/a, c = h_a/2 and
-    M_a = I + c A (see `history_kernel`). Solving M_a z = u_a by forward
-    substitution, row n of z needs only S_n = sum_{m<n} s_m z_m from the rows
-    above it. So once those rows are done, row n of every u_a follows from
-    one scalar recurrence over the steps, x_{a-1} = p_a x_a + q_a, with
-    d = 1 + c (n+1), p = (1 - c (n+1))/d and q = -2 c s_n S_n / d. A
-    Hillis-Steele scan solves it for all steps in log2(T) passes. It composes
-    (p, q) pairs and never divides, so p = 0 is safe. Row n of the kernel is
-    h_a ((n+1) x_a + s_n S_n) / d, which is (h_a M_a^-1 A u_a)[n]. The same
-    column written as u_a - u_{a-1} cancels: against a longdouble recurrence
-    it measured 10-50x less accurate.
+    steps is (blocks, L): row i holds the unit steps of block i, in order
+    (step k covers [k, k+1]). kernels is (blocks, N, L), and transitions is
+    (blocks, N, C): it takes columns 0 .. C-1 of each P_i, so C = N for a
+    bank and C = 1 for a history kernel, whose column 0 is P e0.
+
+    Both schemes solve M = I + c A with the LegS A = diag(n+1) plus the
+    strict lower triangle of s s^T (s = B). Backward Euler has h = 1/(k+1),
+    c = h and Abar = M^-1; bilinear has h = 1/k, c = h/2 and
+    Abar = 2 M^-1 - I. Each Abar is a rational function of A, so the steps
+    commute, and Bbar = (I - Abar) e0 = h M^-1 A e0. For each start
+    column r < C, a block runs backwards from u_L = e_r through
+    u_{j-1} = Abar_j u_j over its steps j = L .. 1, so u_0 is column r of
+    P_i; from e_0, column j-1 of K_i is h_j M_j^-1 A u_j. Solving M_j z = u_j by forward
+    substitution, row n of z needs only S_n = sum_{m<n} s_m z_m from the
+    rows above it. So once those rows are done, row n of every u_j follows
+    from one scalar recurrence over the steps, x_{j-1} = p_j x_j + q_j,
+    with d = 1 + c (n+1) and
+      backward: p = 1/d,               q = -c s_n S_n / d,
+      bilinear: p = (1 - c (n+1))/d,   q = -2 c s_n S_n / d.
+    A Hillis-Steele scan solves it for all steps in log2(L+1) passes,
+    vectorised over blocks and start columns. It composes (p, q) pairs and
+    never divides, so p = 0 is safe. M^-1 is lower triangular, so row n is
+    zero in start columns r > n and the scan covers columns r <= n only.
+    Row n of K_i is h ((n+1) x_j + s_n S_n) / d, which is
+    (h M^-1 A u_j)[n]; the same column written as u_j - u_{j-1} cancels:
+    against a longdouble recurrence it measured 10-50x less accurate. S_n
+    is summed from the scanned u's, z = u_{j-1} (backward) or
+    (u_{j-1} + u_j)/2 (bilinear); solving afresh for z was up to 20x less
+    accurate on an alternating input. Every operation is elementwise per
+    block, so a block's bits do not depend on the blocks scanned with it.
     """
-    n, length = kernel.shape
+    blocks, n, ell = kernels.shape
+    cols = transitions.shape[2]
     s = op.b_vector
-    h = 1.0 / np.arange(1.0, length)            # step a covers [a, a+1]
-    c = 0.5 * h
-    total = np.zeros(length - 1)               # S_n at every step
-    p, x = np.empty(length), np.empty(length)
+    backward = scheme is Scheme.BACKWARD_EULER
+    h = 1.0 / (steps + 1.0) if backward else 1.0 / steps
+    c = (h if backward else 0.5 * h)[:, None]  # (blocks, 1, L), as p: one per block
+    q_scale = (-1.0 if backward else -2.0) * c
+    total = np.zeros((blocks, cols, ell))      # S_n at every step
+    x = np.empty((blocks, cols, ell + 1))
+    # element L is the constant map to u_L[n] = e_r[n]; the scan never writes it
+    p = np.zeros((blocks, 1, ell + 1))
+    transitions[:] = 0.0
     for row in range(n):
+        live = min(row + 1, cols)
+        xr, tr = x[:, :live], total[:, :live]
+        q = xr[..., :-1]
         cn = c * (row + 1.0)
         d = 1.0 + cn
-        p[:-1] = (1.0 - cn) / d
-        x[:-1] = -2.0 * s[row] * c * total / d
-        # element T-1 is the constant map to u_{T-1}[n] = e0[n]
-        p[-1] = 0.0
-        x[-1] = 1.0 if row == 0 else 0.0
+        np.divide(1.0 if backward else 1.0 - cn, d, out=p[..., :-1])
+        np.multiply(s[row] * q_scale, tr, out=q)
+        q /= d
+        xr[..., -1] = np.arange(live) == row
         offset = 1
-        while offset < length:
-            x[:-offset] += p[:-offset] * x[offset:]
-            p[:-offset] = p[:-offset] * p[offset:]
+        while offset <= ell:
+            # in place on views: the operands overlap, which numpy resolves
+            head, head_p = xr[..., :-offset], p[..., :-offset]
+            head += head_p * xr[..., offset:]
+            head_p *= p[..., offset:]
             offset *= 2
-        kernel[row, 0] = x[0]
-        kernel[row, 1:] = h * ((row + 1.0) * x[1:] + s[row] * total) / d
-        # s_n z_n from the scanned u's; solving afresh for z was up to 20x
-        # less accurate on an alternating input
-        total += s[row] * (0.5 * (x[:-1] + x[1:]))
+        transitions[:, row, :live] = xr[..., 0]
+        kernels[:, row] = h * ((row + 1.0) * x[:, 0, 1:] + s[row] * total[:, 0]) / d[:, 0]
+        # s_n z_n for the rows below
+        z = xr[..., :-1] if backward else 0.5 * (xr[..., :-1] + xr[..., 1:])
+        tr += s[row] * z
 
 
 def _hahn_kernel(kernel: np.ndarray, backward: bool) -> None:
@@ -518,7 +513,8 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       differenced straight from its (N, length + 1) rows.
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
-      Bilinear: `_scan_kernel`, an O(T log T) scan per state row.
+      Bilinear: `_scan_kernel` over one block of steps 1 .. length-1 from
+      e0 alone, an O(T log T) scan per state row.
       Forward Euler below that size: `_fold_steps` multiplies the step
       matrices. There the exact kernel entries grow large (about 1e8 at
       N = 32, length = 33), the Hahn recurrence loses digits, and the steps
@@ -533,10 +529,12 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
         seg = segment_coefficients(op, np.arange(length + 1) / length)
         np.subtract(seg[:, 1:], seg[:, :-1], out=kernel)
     elif scheme is Scheme.BILINEAR:
-        _scan_kernel(op, kernel)
+        # one block of steps 1 .. T-1, from e0 only: column 0 is P e0
+        steps = np.arange(1.0, length)[None]
+        _scan_kernel(op, scheme, steps, kernel[None, :, :1], kernel[None, :, 1:])
     elif scheme is Scheme.FORWARD_EULER and 4 * (length - 1) < (n + 1) ** 2:
         prod = np.empty((1, n, n))
-        _fold_steps(op, scheme, prod, kernel[None, :, 1:])
+        _fold_steps(op, prod, kernel[None, :, 1:])
         kernel[:, 0] = prod[0, :, 0]  # prod @ e0: exact first-sample absorption
     else:
         _hahn_kernel(kernel, scheme is Scheme.BACKWARD_EULER)

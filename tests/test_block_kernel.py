@@ -72,13 +72,17 @@ def test_second_block_diagonal_telescopes():
 @pytest.mark.parametrize("scheme", [Scheme.ZOH, Scheme.BILINEAR, Scheme.BACKWARD_EULER,
                                     Scheme.FORWARD_EULER])
 def test_bank_matches_brute_force(scheme):
-    op = build_operator(6)
     ell = 5
-    bank = build_bank(op, ell, scheme, 3)
-    for i in (1, 2, 3):
-        prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
-        assert np.abs(bank.transitions[i - 1] - prod).max() < 1e-9
-        assert np.abs(bank.kernels[i - 1] - kernel).max() < 1e-9
+    for order in (6, 32):
+        op = build_operator(order)
+        bank = build_bank(op, ell, scheme, 3)
+        for i in (1, 2, 3):
+            prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
+            # N = 32 is held to 1e-12 relative to max(1, |P|): forward Euler's
+            # early steps amplify its entries far past 1
+            bound = 1e-9 if order == 6 else 1e-12 * max(1.0, np.abs(prod).max())
+            assert np.abs(bank.transitions[i - 1] - prod).max() < bound
+            assert np.abs(bank.kernels[i - 1] - kernel).max() < bound
 
 
 @pytest.mark.parametrize("scheme", NON_ZOH)
@@ -107,6 +111,54 @@ def test_zoh_bank_equals_per_block_quadrature_and_segments(order, ell, blocks):
         np.testing.assert_array_equal(bank.kernels[i], seg[:, 1:] - seg[:, :-1])
     assert bank.transitions.strides == np.empty((blocks, order, order)).strides
     assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
+
+
+@pytest.mark.parametrize("order, ell, blocks, prefix", [(32, 64, 70, 65), (4, 1, 700, 690)])
+@pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
+def test_scan_bank_blocks_do_not_depend_on_their_group(scheme, order, ell, blocks, prefix):
+    # the prefix ends inside the second group, which it fills less than the full bank does
+    group = _GROUP_POINTS // max(order + 2, ell + 1)
+    assert group < prefix < blocks and prefix % group and blocks % group
+    op = build_operator(order)
+    bank = build_bank(op, ell, scheme, blocks)
+    short = build_bank(op, ell, scheme, prefix)
+    np.testing.assert_array_equal(bank.transitions[:prefix], short.transitions)
+    np.testing.assert_array_equal(bank.kernels[:prefix], short.kernels)
+    # and a later group scans its own blocks' steps
+    prod, kernel = brute_force_block(op, (prefix - 1) * ell + 1, prefix * ell, scheme)
+    assert np.abs(short.transitions[-1] - prod).max() <= 1e-12
+    assert np.abs(short.kernels[-1] - kernel).max() <= 1e-12
+
+
+def longdouble_block_products(op, ell: int, scheme: Scheme, blocks: int):
+    """(P_i, K_i) as products of `discretize_step` matrices, accumulated in np.longdouble.
+
+    The steps come from a dense solve, so they share no rounding with the
+    bank's row scan; the 80-bit products add almost none of their own.
+    """
+    ld = np.longdouble
+    n = op.order
+    transitions = np.empty((blocks, n, n), dtype=ld)
+    kernels = np.empty((blocks, n, ell), dtype=ld)
+    for i in range(blocks):
+        steps = [discretize_step(op, i * ell + 1 + j, scheme) for j in range(ell)]
+        suffix = np.eye(n, dtype=ld)
+        for j in range(ell - 1, -1, -1):
+            kernels[i, :, j] = suffix @ steps[j].b_bar.astype(ld)
+            suffix = suffix @ steps[j].a_bar.astype(ld)
+        transitions[i] = suffix
+    return transitions, kernels
+
+
+@pytest.mark.parametrize("order, ell, blocks", [(16, 8, 16), (16, 64, 8), (32, 8, 16), (32, 64, 12)])
+@pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
+def test_scan_bank_against_longdouble_step_products(scheme, order, ell, blocks):
+    op = build_operator(order)
+    bank = build_bank(op, ell, scheme, blocks)
+    transitions, kernels = longdouble_block_products(op, ell, scheme, blocks)
+    bound = 4e-15 * max(1.0, float(np.abs(transitions).max()))
+    assert np.abs(bank.transitions - transitions).max() <= bound
+    assert np.abs(bank.kernels - kernels).max() <= bound
 
 
 def test_zoh_bank_makes_two_legendre_tables_per_group(monkeypatch):

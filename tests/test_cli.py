@@ -241,6 +241,18 @@ def test_cache_dir_env_default(tmp_path, capsys, monkeypatch):
     assert "envcache" in last_summary(out)["kernel_path"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-banks", "--order", "4", "--block-length", "4", "--max-blocks", "2"],
+    ["attn-demo", "--blocks", "2"],
+])
+def test_empty_cache_dir_env_falls_back_to_working_directory(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("EMK_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert (tmp_path / ".bank_cache").is_dir()
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orderx = 8\n")

@@ -98,6 +98,30 @@ def test_zoh_bank_makes_one_matrix_power_call_per_group(monkeypatch, order, bloc
     assert calls["transition_power"] == math.ceil(blocks / group)
 
 
+@pytest.mark.parametrize("order, block_length, blocks", [
+    (8, 4, 1),
+    (32, 64, 12),     # the cli benchmark's shape: one group of 63 blocks
+    (32, 64, 70),     # groups of 63 blocks; the last is partial
+    (4, 1, 1500),     # groups of 682 blocks
+    (2, 5000, 3),     # L + 1 > _GROUP_POINTS: one block per group
+])
+@pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
+def test_scan_bank_makes_one_scan_per_group_and_no_step_matrix(
+        monkeypatch, scheme, order, block_length, blocks):
+    # `_fold_steps` is what builds step matrices for a bank (forward Euler's)
+    group = max(1, _GROUP_POINTS // max(order + 2, block_length + 1))
+    calls = count_calls(monkeypatch, discretization, "discretize_interval", *KERNEL_PATHS)
+    build_bank(build_operator(order), block_length, scheme, blocks)
+    assert calls == Counter(_scan_kernel=math.ceil(blocks / group))
+
+
+@pytest.mark.parametrize("order, block_length, blocks", [(8, 4, 1), (32, 64, 12)])
+def test_forward_euler_bank_is_one_step_fold(monkeypatch, order, block_length, blocks):
+    calls = count_calls(monkeypatch, discretization, "discretize_interval", *KERNEL_PATHS)
+    build_bank(build_operator(order), block_length, Scheme.FORWARD_EULER, blocks)
+    assert calls == Counter(_fold_steps=1)
+
+
 @pytest.mark.parametrize("block_index, retrievals", [(1, 0), (2, 2)])
 def test_forward_block_updates_and_retrieves_each_state_once(monkeypatch, block_index, retrievals):
     cfg = AttentionConfig(model_dim=8, head_count=2, head_dim=4, block_length=4, mem_length=3,
