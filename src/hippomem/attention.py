@@ -15,6 +15,7 @@ Two deliberate asymmetries, both load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import rng
 from .block_kernel import BlockKernelBank, block_update
 from .discretization import MemoryState, Scheme
-from .operators import _as_index
+from .operators import _as_index, _freeze
 from .reconstruction import ReconstructionBank, SamplingStrategy, _require_strategy, retrieve
 
 __all__ = [
@@ -130,15 +131,29 @@ def build_trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
     """Additive mask of shape (L, mem_length + L).
 
     Memory columns are visible to every query; in-block columns are causal
-    (column position <= query position).
+    (column position <= query position). The result is read-only and shared:
+    every call with the same sizes returns the same array.
     """
-    block_length = _as_index("block_length", block_length)
-    mem_length = _as_index("mem_length", mem_length, minimum=0)
+    # validate before the cache, which takes True for 1 and 3.0 for 3
+    return _trapezoidal_mask(_as_index("block_length", block_length),
+                             _as_index("mem_length", mem_length, minimum=0))
+
+
+@lru_cache(maxsize=2)  # forward_block asks for two: block 1's and every later block's
+def _trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
     mask = np.zeros((block_length, mem_length + block_length))
     p = np.arange(block_length)[:, None]
     q = np.arange(block_length)[None, :]
     mask[:, mem_length:] = np.where(q <= p, 0.0, MASK_NEG)
-    return mask
+    return _freeze(mask)
+
+
+@lru_cache(maxsize=1)  # forward_block rotates Q, then K, at one start
+def _rotary_table(start_position: int, length: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of the (length, dim / 2) rotary angles."""
+    freqs = AttentionConfig.rope_base ** (-np.arange(0, dim, 2, dtype=float) / dim)
+    angles = (start_position + np.arange(length, dtype=float))[:, None] * freqs[None, :]
+    return _freeze(np.cos(angles)), _freeze(np.sin(angles))
 
 
 def apply_rotary(mat: np.ndarray, start_position: int) -> np.ndarray:
@@ -148,26 +163,32 @@ def apply_rotary(mat: np.ndarray, start_position: int) -> np.ndarray:
     positions start_position, start_position + 1, ... along the L axis, and
     the angles are computed once and broadcast over any leading (e.g. head)
     axes. Pure rotation, so pairwise norms are preserved. The result is
-    C-contiguous.
+    C-contiguous. The cos/sin table of the last (start_position, L, D) is
+    kept, read-only, so rotating K after Q at one start reuses Q's table.
     """
     mat = np.asarray(mat, dtype=float)
     length, dim = mat.shape[-2:]
     if dim % 2:
         raise ValueError(f"rotary encoding needs an even dimension, got {dim}")
-    freqs = AttentionConfig.rope_base ** (-np.arange(0, dim, 2, dtype=float) / dim)
-    angles = (start_position + np.arange(length, dtype=float))[:, None] * freqs[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = _rotary_table(start_position, length, dim)
     even, odd = mat[..., 0::2], mat[..., 1::2]
     out = np.empty(mat.shape)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    scratch = np.multiply(odd, sin)
+    np.multiply(even, cos, out=out_even)
+    out_even -= scratch                      # even * cos - odd * sin
+    np.multiply(odd, cos, out=scratch)
+    np.multiply(even, sin, out=out_odd)
+    out_odd += scratch                       # even * sin + odd * cos
     return out
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in scores and returned."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _heads(mat: np.ndarray, head_count: int, head_dim: int) -> np.ndarray:
@@ -233,7 +254,9 @@ def forward_block(
     v_aug = np.concatenate([_heads(v_mem, h, dh), v_heads], axis=1)
 
     mask = build_trapezoidal_mask(ell, mem_rows)
-    scores = q_heads @ k_aug.transpose(0, 2, 1) / np.sqrt(dh) + mask[None]
+    scores = q_heads @ k_aug.transpose(0, 2, 1)
+    scores /= np.sqrt(dh)
+    scores += mask
     probs = _softmax_rows(scores)
     att = probs @ v_aug                                  # (H, L, dh)
     merged = att.transpose(1, 0, 2).reshape(ell, cfg.model_dim)

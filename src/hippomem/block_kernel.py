@@ -85,6 +85,6 @@ def block_update(
         raise ValueError(
             f"inputs shape {f.shape} != ({bank.block_length}, {state.channel_count})"
         )
-    coeffs = (bank.transitions[position - 1] @ state.coefficients
-              + bank.kernels[position - 1] @ f)
+    coeffs = bank.transitions[position - 1] @ state.coefficients
+    coeffs += bank.kernels[position - 1] @ f
     return MemoryState(coeffs, blocks_absorbed=position)

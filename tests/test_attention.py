@@ -19,6 +19,7 @@ from hippomem import (
     build_operator,
     build_reconstruction_bank,
     forward_block,
+    retrieve,
     zero_state,
 )
 from hippomem.attention import (
@@ -297,6 +298,100 @@ def test_no_memory_rows_is_plain_attention_to_the_bit(mem_length, block_index):
     np.testing.assert_array_equal(res.probabilities, probs)
     np.testing.assert_array_equal(res.output, output)
     assert res.memory_keys.shape == (0, cfg.model_dim)
+
+
+def test_memory_rows_are_out_of_place_attention_to_the_bit():
+    # forward_block scales, masks and normalises its scores in place; every
+    # value must keep the bits of the same arithmetic on fresh arrays.
+    # sqrt(12) is not a power of two, so a scaling by its reciprocal would show
+    cfg = make_config(model_dim=36, head_count=3, head_dim=12)
+    weights = init_weights(cfg, seed=78)
+    kernel, recon = make_banks(cfg)
+    h, dh = cfg.head_count, cfg.head_dim
+    key_state = value_state = zero_state(cfg.hippo_order, cfg.model_dim)
+    for block_index in (1, 2, 3, 4):
+        hidden = normals(derive(78, block_index), cfg.block_length * cfg.model_dim).reshape(
+            cfg.block_length, cfg.model_dim)
+        res = forward_block(fresh_io(cfg, hidden, block_index, key_state, value_state),
+                            weights, cfg, kernel, recon)
+        if block_index == 1:
+            key_state, value_state = res.key_state, res.value_state
+            continue
+        start = (block_index - 1) * cfg.block_length
+        k_mem, v_mem = retrieve(key_state, recon), retrieve(value_state, recon)
+        q = apply_rotary(attention_mod._heads(hidden @ weights.w_query, h, dh), start)
+        k = np.concatenate([attention_mod._heads(k_mem, h, dh), apply_rotary(
+            attention_mod._heads(hidden @ weights.w_key, h, dh), start)], axis=1)
+        v = np.concatenate([attention_mod._heads(v_mem, h, dh),
+                            attention_mod._heads(hidden @ weights.w_value, h, dh)], axis=1)
+        scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh) + build_trapezoidal_mask(
+            cfg.block_length, cfg.mem_length)[None]
+        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = ex / ex.sum(axis=-1, keepdims=True)
+        output = (probs @ v).transpose(1, 0, 2).reshape(hidden.shape) @ weights.w_output
+        np.testing.assert_array_equal(res.probabilities, probs)
+        np.testing.assert_array_equal(res.output, output)
+        np.testing.assert_array_equal(res.memory_keys, k_mem)
+        for state, inputs, got in ((key_state, hidden @ weights.w_key, res.key_state),
+                                   (value_state, hidden @ weights.w_value, res.value_state)):
+            want = (kernel.transitions[block_index - 1] @ state.coefficients
+                    + kernel.kernels[block_index - 1] @ inputs)
+            np.testing.assert_array_equal(got.coefficients, want)
+        key_state, value_state = res.key_state, res.value_state
+
+
+def direct_rotary(mat, start):
+    """apply_rotary's formula on fresh arrays, with no table kept."""
+    length, dim = mat.shape[-2:]
+    freqs = AttentionConfig.rope_base ** (-np.arange(0, dim, 2, dtype=float) / dim)
+    angles = (start + np.arange(length, dtype=float))[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    out = np.empty(mat.shape)
+    out[..., 0::2] = mat[..., 0::2] * cos - mat[..., 1::2] * sin
+    out[..., 1::2] = mat[..., 0::2] * sin + mat[..., 1::2] * cos
+    return out
+
+
+def test_rotary_table_from_the_cache_is_the_direct_formula():
+    # 8128 is the last block start of 128 blocks of 64, where angles reach 8191 rad
+    q, k = normals(derive(79, 1), 2 * 4 * 64 * 64).reshape(2, 4, 64, 64)
+    table = attention_mod._rotary_table
+    table.cache_clear()
+    np.testing.assert_array_equal(apply_rotary(q, 8128), direct_rotary(q, 8128))
+    np.testing.assert_array_equal(apply_rotary(k, 8128), direct_rotary(k, 8128))
+    assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+    np.testing.assert_array_equal(apply_rotary(k, 8192), direct_rotary(k, 8192))
+    assert (table.cache_info().misses, table.cache_info().hits) == (2, 1)
+    # the key holds the length and the dimension as well as the start
+    for part in (k[:, :63], k[..., :62]):
+        np.testing.assert_array_equal(apply_rotary(part, 8192), direct_rotary(part, 8192))
+    assert table.cache_info().misses == 4
+    cos, sin = table(8192, 64, 62)
+    assert not cos.flags.writeable and not sin.flags.writeable
+    # the result is the caller's own; writing to it leaves the table as it was
+    apply_rotary(k, 8192)[:] = 0.0
+    np.testing.assert_array_equal(apply_rotary(k, 8192), direct_rotary(k, 8192))
+
+
+def test_mask_sizes_are_checked_before_the_cache():
+    # lru_cache takes True for 1 and 3.0 for 3, so these must raise first
+    build_trapezoidal_mask(1, 2)
+    build_trapezoidal_mask(3, 2)
+    for bad in ((True, 2), (3.0, 2), (3, True), (1, 2.0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            build_trapezoidal_mask(*bad)
+    with pytest.raises(ValueError, match="block_length must be >= 1"):
+        build_trapezoidal_mask(0, 2)
+
+
+def test_mask_is_shared_and_read_only():
+    mask = build_trapezoidal_mask(4, 3)
+    assert build_trapezoidal_mask(4, 3) is mask
+    assert build_trapezoidal_mask(np.int64(4), np.int64(3)) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = 1.0
+    np.testing.assert_array_equal(mask[:, :3], 0.0)
 
 
 def test_forward_is_deterministic():

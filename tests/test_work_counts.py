@@ -19,6 +19,7 @@ from hippomem import (
     SamplingKind,
     SamplingStrategy,
     Scheme,
+    block_update,
     build_bank,
     build_operator,
     build_reconstruction_bank,
@@ -122,23 +123,64 @@ def test_forward_euler_bank_is_one_step_fold(monkeypatch, order, block_length, b
     assert calls == Counter(_fold_steps=1)
 
 
-@pytest.mark.parametrize("block_index, retrievals", [(1, 0), (2, 2)])
-def test_forward_block_updates_and_retrieves_each_state_once(monkeypatch, block_index, retrievals):
+def small_attention(max_blocks):
+    """(cfg, weights, kernel bank, reconstruction bank) of a tiny ZOH block."""
     cfg = AttentionConfig(model_dim=8, head_count=2, head_dim=4, block_length=4, mem_length=3,
                           hippo_order=6, scheme=Scheme.ZOH,
                           strategy=SamplingStrategy(SamplingKind.UNIFORM))
     op = build_operator(cfg.hippo_order)
-    kernel = build_bank(op, cfg.block_length, cfg.scheme, 2)
-    recon = build_reconstruction_bank(op, cfg.strategy, cfg.mem_length, cfg.block_length, 2)
-    weights = init_weights(cfg, 0)
+    kernel = build_bank(op, cfg.block_length, cfg.scheme, max_blocks)
+    recon = build_reconstruction_bank(op, cfg.strategy, cfg.mem_length, cfg.block_length,
+                                      max_blocks)
+    return cfg, init_weights(cfg, 0), kernel, recon
+
+
+@pytest.mark.parametrize("block_index, retrievals", [(1, 0), (2, 2)])
+def test_forward_block_updates_and_retrieves_each_state_once(monkeypatch, block_index, retrievals):
+    cfg, weights, kernel, recon = small_attention(2)
     state = zero_state(cfg.hippo_order, cfg.model_dim)
     if block_index == 2:
         first = BlockIO(np.ones((4, 8)), state, state, 1)
         state = forward_block(first, weights, cfg, kernel, recon).key_state
-    calls = count_calls(monkeypatch, attention, "block_update", "retrieve", "apply_rotary")
+    calls = count_calls(monkeypatch, attention, "block_update", "retrieve", "apply_rotary",
+                        "build_trapezoidal_mask")
     forward_block(BlockIO(np.ones((4, 8)), state, state, block_index), weights, cfg,
                   kernel, recon)
-    assert calls == Counter(block_update=2, apply_rotary=2, retrieve=retrievals)
+    assert calls == Counter(block_update=2, apply_rotary=2, retrieve=retrievals,
+                            build_trapezoidal_mask=1)
+
+
+def test_forward_block_builds_one_rotary_table():
+    # Q's rotation builds the cos/sin table of the block's start; K's reuses it
+    cfg, weights, kernel, recon = small_attention(3)
+    key_state = value_state = zero_state(cfg.hippo_order, cfg.model_dim)
+    table = attention._rotary_table
+    table.cache_clear()
+    for block_index in (1, 2, 3):
+        before = table.cache_info()
+        res = forward_block(BlockIO(np.ones((4, 8)), key_state, value_state, block_index),
+                            weights, cfg, kernel, recon)
+        after = table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        key_state, value_state = res.key_state, res.value_state
+
+
+def test_block_update_holds_two_state_sized_buffers():
+    # P_i C is the result, and K_i F_i is added into it: no third buffer for the
+    # sum. The attn benchmark's shape: numpy elides the temporary of `a + b` by
+    # itself only from 256 KiB on, so at this 64 KiB state `P @ C + K @ F` holds three.
+    op = build_operator(32)
+    bank = build_bank(op, 64, Scheme.ZOH, 2)
+    state = block_update(zero_state(32, 256), np.ones((64, 256)), bank)
+    inputs = np.linspace(-1.0, 1.0, 64 * 256).reshape(64, 256)
+    size = state.coefficients.nbytes
+    tracemalloc.start()
+    try:
+        block_update(state, inputs, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * size <= peak < 2.5 * size, (peak, size)
 
 
 def test_bank_writer_holds_no_copy_of_the_payload(tmp_path):
