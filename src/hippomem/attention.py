@@ -148,6 +148,12 @@ def _trapezoidal_mask(block_length: int, mem_length: int) -> np.ndarray:
     return _freeze(mask)
 
 
+@lru_cache(maxsize=2)  # as _trapezoidal_mask
+def _visibility(block_length: int, mem_length: int) -> np.ndarray:
+    """Read-only 1.0 where the trapezoidal mask is 0 and 0.0 where it is MASK_NEG."""
+    return _freeze((_trapezoidal_mask(block_length, mem_length) == 0.0).astype(float))
+
+
 @lru_cache(maxsize=1)  # forward_block rotates Q, then K, at one start
 def _rotary_table(start_position: int, length: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only cos and sin of the (length, dim / 2) rotary angles."""
@@ -183,10 +189,19 @@ def apply_rotary(mat: np.ndarray, start_position: int) -> np.ndarray:
     return out
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in scores and returned."""
+def _softmax_rows(scores: np.ndarray, visibility: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in scores and returned.
+
+    scores already hold the additive mask; visibility is 1.0 where that mask
+    is 0 and 0.0 where it is MASK_NEG. Masked entries come out exactly 0, as
+    exp(MASK_NEG - max) does, but they are zeroed before exp and again after
+    it, because exp takes several times longer on arguments near -1e30 than
+    on in-range ones.
+    """
     scores -= scores.max(axis=-1, keepdims=True)
+    scores *= visibility
     np.exp(scores, out=scores)
+    scores *= visibility
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
 
@@ -257,7 +272,7 @@ def forward_block(
     scores = q_heads @ k_aug.transpose(0, 2, 1)
     scores /= np.sqrt(dh)
     scores += mask
-    probs = _softmax_rows(scores)
+    probs = _softmax_rows(scores, _visibility(ell, mem_rows))
     att = probs @ v_aug                                  # (H, L, dh)
     merged = att.transpose(1, 0, 2).reshape(ell, cfg.model_dim)
     output = merged @ weights.w_output

@@ -20,8 +20,8 @@ skip the N^3-scale precomputation:
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
-so that files written by older code are rebuilt rather than read (version 6:
-backward Euler and bilinear banks from the row scan). A writer
+so that files written by older code are rebuilt rather than read (version 7:
+ZOH transitions with exact zeros above the diagonal). A writer
 streams each array's own buffer into the file and its checksum, and a read
 bank's arrays are read-only views into the file's bytes, so neither copies
 the payload; the 40-byte header keeps it 8-byte aligned.
@@ -59,7 +59,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 6
+_VERSION = 7
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 
@@ -123,12 +123,13 @@ def _read(path: str, magic: bytes) -> tuple[tuple, np.ndarray]:
 
 
 def _from_header(path: str, build):
-    """build(), with a ValueError or TypeError from header fields that an
-    intact file cannot hold (a decay of 1.5) a CacheError: it is rebuilt."""
+    """build(), with a ValueError or TypeError from values that an intact
+    file cannot hold (a decay of 1.5, a transition entry above the diagonal)
+    a CacheError: it is rebuilt."""
     try:
         return build()
     except (ValueError, TypeError) as exc:
-        raise CacheError(f"cache file {path} has invalid header fields: {exc}") from exc
+        raise CacheError(f"cache file {path} holds invalid values: {exc}") from exc
 
 
 def write_kernel_bank(path: str, bank: BlockKernelBank) -> int:

@@ -293,7 +293,8 @@ def test_no_memory_rows_is_plain_attention_to_the_bit(mem_length, block_index):
     v = attention_mod._heads(hidden @ weights.w_value, h, dh)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh) + build_trapezoidal_mask(
         cfg.block_length, 0)[None]
-    probs = attention_mod._softmax_rows(scores)
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = ex / ex.sum(axis=-1, keepdims=True)
     output = (probs @ v).transpose(1, 0, 2).reshape(hidden.shape) @ weights.w_output
     np.testing.assert_array_equal(res.probabilities, probs)
     np.testing.assert_array_equal(res.output, output)

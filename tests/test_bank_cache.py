@@ -145,6 +145,10 @@ def _flip_last_byte(blob):
     # re-sealed: the checksum passes, and only building the strategy can object
     pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 1.5), id="resealed-decay-1.5"),
     pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 0.0), id="resealed-decay-0"),
+    # P_1[0, 1], the first payload entry above a diagonal: only the bank's
+    # lower-triangle check can object
+    pytest.param(None, lambda b: _set_header(b, "<d", _CHECKSUM_AT + 4 + 8, 0.5),
+                 id="resealed-transition-above-diagonal"),
 ])
 def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
     built, path, hit = _load_or_build(tmp_path, strategy)
@@ -167,7 +171,8 @@ def test_corruption_detected_and_rebuilt(tmp_path, strategy, damage):
 
 
 def _set_header(blob, fmt, offset, value):
-    """Set one header field of an intact file's bytes and re-seal its checksum."""
+    """Set one header field (or payload entry) of an intact file's bytes and
+    re-seal its checksum."""
     struct.pack_into(fmt, blob, offset, value)
     payload_at = _CHECKSUM_AT + 4
     struct.pack_into("<I", blob, _CHECKSUM_AT,
@@ -185,7 +190,7 @@ def _rewrite_header(path, fmt, offset, value):
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
-        for version in (1, 2, 3, 4, 5):
+        for version in (1, 2, 3, 4, 5, 6):
             # an intact file of an older version: only the version check can reject it
             _rewrite_header(path, "<I", _VERSION_AT, version)
             _, _, hit = _load_or_build(tmp_path, strategy)

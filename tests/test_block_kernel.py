@@ -15,6 +15,7 @@ from hippomem import (
     zero_state,
 )
 from hippomem import discretization
+from hippomem.block_kernel import BlockKernelBank
 from hippomem.discretization import (
     _CHUNK_STEPS,
     _GROUP_POINTS,
@@ -220,6 +221,49 @@ def test_forward_history_kernel_matches_one_block_bank(order, offset):
     bound = 1e-12 * np.abs(kernel).max()
     assert np.abs(kernel[:, 1:] - bank.kernels[0]).max() <= bound
     assert np.abs(kernel[:, 0] - bank.transitions[0][:, 0]).max() <= bound
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_bank_transitions_are_exactly_lower_triangular(scheme):
+    # block_update's row panels skip everything above the diagonal
+    for order, ell, blocks in ((6, 5, 3), (32, 16, 4), (40, 3, 2)):
+        bank = build_bank(build_operator(order), ell, scheme, blocks)
+        assert not np.triu(bank.transitions, 1).any()
+        assert np.tril(bank.transitions, -1).any()
+
+
+def test_bank_rejects_an_entry_above_the_diagonal():
+    bank = build_bank(build_operator(6), 4, Scheme.ZOH, 3)
+    for block, row, col in ((0, 0, 1), (2, 4, 5), (1, 0, 5)):
+        transitions = bank.transitions.copy()
+        transitions[block, row, col] = 1e-300
+        with pytest.raises(ValueError, match=f"not lower triangular in row {row}"):
+            BlockKernelBank(bank.block_length, bank.order, bank.scheme, transitions,
+                            bank.kernels)
+    transitions = bank.transitions.copy()
+    transitions[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="not lower triangular"):
+        BlockKernelBank(bank.block_length, bank.order, bank.scheme, transitions, bank.kernels)
+    # the lower triangle and the diagonal take any value
+    transitions = bank.transitions.copy()
+    transitions[:, 5, :] = -2.0
+    BlockKernelBank(bank.block_length, bank.order, bank.scheme, transitions, bank.kernels)
+
+
+@pytest.mark.parametrize("order", [6, 32, 64, 100, 128])
+@pytest.mark.parametrize("channels", [1, 16, 256])
+def test_block_update_is_p_c_plus_k_f_to_the_bit(order, channels):
+    # from N^2 D >= 2^20 (N = 64, 100, 128 at D = 256) P_i C is formed in row
+    # panels that stop at the diagonal block. The skipped entries are exact
+    # zeros, and each panel sums the same products over k in the same order
+    # as the full product, so the bits are those of P_i @ C + K_i @ F.
+    op = build_operator(order)
+    bank = build_bank(op, 8, Scheme.ZOH, 2)
+    coeffs = normals(derive(order, channels), order * channels).reshape(order, channels)
+    inputs = normals(derive(order, channels, 1), 8 * channels).reshape(8, channels)
+    state = block_update(MemoryState(coeffs, blocks_absorbed=1), inputs, bank)
+    want = bank.transitions[1] @ coeffs + bank.kernels[1] @ inputs
+    np.testing.assert_array_equal(state.coefficients, want)
 
 
 def test_bank_rejects_bad_parameters():

@@ -181,7 +181,8 @@ def fixed_point_transition_power(order: int, ratio: float) -> np.ndarray:
 @pytest.mark.parametrize("ratio", [0.3, 63 / 64, 16321 / 16385])
 def test_transition_power_against_fixed_point_quadrature(order, ratio):
     # beyond the expm oracle's range; 16321/16385 is the last block of an
-    # N = 128, L = 64, 256-block bank. The worst error is about 5.6e-14 (N = 128).
+    # N = 128, L = 64, 256-block bank. The worst error is about 4.8e-14 (N = 128),
+    # in the lower triangle; the upper one is exact.
     power = transition_power(build_operator(order), ratio)
     assert np.abs(power - fixed_point_transition_power(order, ratio)).max() < 1e-13
 
@@ -200,6 +201,19 @@ def test_batched_transition_power_has_the_bits_of_scalar_calls():
     assert transition_power(op, np.empty(0)).shape == (0, 6, 6)
     with pytest.raises(ValueError):
         transition_power(op, np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("order", [8, 32, 128])
+def test_transition_power_is_exactly_lower_triangular(order):
+    # entries above the diagonal are +0.0, never quadrature noise or -0.0;
+    # N = 128 spans four row panels, N = 8 a part of one
+    op = build_operator(order)
+    ratios = np.array([0.0, 0.3, 63 / 64, 16321 / 16385, 1.0])
+    upper = np.triu(np.ones((order, order), dtype=bool), 1)
+    powers = [*transition_power(op, ratios), *(transition_power(op, r) for r in ratios)]
+    for power in powers:
+        assert not power[upper].any()
+        assert not np.signbit(power[upper]).any()
 
 
 def test_transition_power_limits():

@@ -26,9 +26,10 @@ from hippomem import (
     forward_block,
     zero_state,
 )
-from hippomem import attention, discretization
+from hippomem import attention, block_kernel, discretization
 from hippomem.attention import init_weights
 from hippomem.bank_cache import write_kernel_bank
+from hippomem.block_kernel import BlockKernelBank
 from hippomem.discretization import _GROUP_POINTS, history_kernel
 
 
@@ -181,6 +182,83 @@ def test_block_update_holds_two_state_sized_buffers():
     finally:
         tracemalloc.stop()
     assert 2 * size <= peak < 2.5 * size, (peak, size)
+
+
+class _Numpy:
+    """numpy with some attributes replaced: patched over a module's `np`, it
+    sees every call that module makes to them."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _rows_and_columns(view, base):
+    """(rows, columns) of the 2-D C-order base that a view into it covers."""
+    start = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    row, col = divmod(start // view.itemsize, base.shape[1])
+    return (row, row + view.shape[0]), (col, col + view.shape[1])
+
+
+@pytest.mark.parametrize("order, channels, panels", [
+    (128, 256, 4),   # the stream benchmark's shape: four 32-row panels
+    (64, 256, 2),    # N^2 D = 2^20, the smallest product taken in panels
+    (32, 256, 1),    # the attn benchmark's shape: one product, as before
+    (128, 16, 1),
+])
+def test_block_update_reads_nothing_right_of_a_panels_diagonal_block(
+        monkeypatch, order, channels, panels):
+    # panel rows [top, end) read columns [0, end) of P_i, never the zeros past
+    # their diagonal block; one more product takes K_i F_i
+    bank = build_bank(build_operator(order), 4, Scheme.ZOH, 1)
+    p = bank.transitions[0]
+    products = []
+
+    def matmul(a, b, **kwargs):
+        products.append(_rows_and_columns(a, p) if np.shares_memory(a, p) else "K F")
+        return np.matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(block_kernel, "np", _Numpy(matmul=matmul))
+    block_update(zero_state(order, channels), np.ones((4, channels)), bank)
+    rows = order // panels
+    assert products == [((top, top + rows), (0, top + rows))
+                        for top in range(0, order, rows)] + ["K F"]
+
+
+def test_softmax_exponentiates_no_masked_score(monkeypatch):
+    # exp of an argument near MASK_NEG takes a slow out-of-range path
+    cfg, weights, kernel, recon = small_attention(2)
+    state = zero_state(cfg.hippo_order, cfg.model_dim)
+    hidden = np.linspace(-1.0, 1.0, 32).reshape(4, 8)
+    lowest = []
+
+    def exp(x, **kwargs):
+        lowest.append(x.min())
+        return np.exp(x, **kwargs)
+
+    monkeypatch.setattr(attention, "np", _Numpy(exp=exp))
+    for block_index in (1, 2):
+        res = forward_block(BlockIO(hidden, state, state, block_index), weights, cfg,
+                            kernel, recon)
+        state = res.key_state
+        assert res.probabilities[:, 0, cfg.mem_length * (block_index - 1) + 1:].max() == 0.0
+    assert len(lowest) == 2 and min(lowest) > attention.MASK_NEG / 2, lowest
+
+
+def test_bank_triangle_check_holds_no_copy_of_the_transitions():
+    bank = build_bank(build_operator(64), 64, Scheme.ZOH, 64)
+    size = bank.transitions.nbytes
+    assert size >= 1 << 21
+    tracemalloc.start()
+    try:
+        BlockKernelBank(bank.block_length, bank.order, bank.scheme, bank.transitions,
+                        bank.kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 64, (peak, size)
 
 
 def test_bank_writer_holds_no_copy_of_the_payload(tmp_path):
