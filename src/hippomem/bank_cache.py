@@ -149,8 +149,6 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
     if flat.size != n_trans + n_kern:
         raise CacheError(f"cache file {path} payload size mismatch")
     return _from_header(path, lambda: BlockKernelBank(
-        block_length=block_length,
-        order=order,
         scheme=_SCHEME_FROM_TAG[tag],
         transitions=flat[:n_trans].reshape(max_blocks, order, order),
         kernels=flat[n_trans:].reshape(max_blocks, order, block_length),
@@ -172,8 +170,6 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
     if flat.size != mem_length * order:
         raise CacheError(f"cache file {path} payload size mismatch")
     return _from_header(path, lambda: ReconstructionBank(
-        mem_length=mem_length,
-        order=order,
         block_length=block_length,
         strategy=SamplingStrategy(_STRATEGY_FROM_TAG[tag], decay),
         matrices=np.broadcast_to(flat.reshape(mem_length, order),

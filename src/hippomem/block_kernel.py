@@ -18,12 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    _PANEL_MIN_WORK, _PANEL_ROWS, MemoryState, Scheme, _check_finite, _fill_bank,
-)
+from .discretization import _PANEL_ROWS, MemoryState, Scheme, _check_finite, _fill_bank
 from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
+
+# `block_update` takes P_i C in row panels of `_PANEL_ROWS` only from
+# N^2 D >= _PANEL_MIN_WORK; below that the per-panel calls cost more than
+# the skipped flops save. One OpenBLAS thread, P_i cycling through a bank,
+# dense -> panels: N = 128, D = 256 230 -> 174 us; N = 64, D = 256
+# 73 -> 67 us; N = 32, D = 256 22 -> 26 us; N = 128, D = 16 24 -> 26 us.
+_PANEL_MIN_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,24 +38,36 @@ class BlockKernelBank:
     transitions[i-1] is the N x N product of step matrices for block i;
     kernels[i-1] is the N x L operator folding block i's inputs into the
     state. Immutable; share freely across concurrent sequence processors.
-    Every P_i must be lower triangular, with exact zeros above the diagonal,
-    because `block_update` never reads them; a bank with any other entry
-    there raises ValueError.
+    The order, block length and block count are those of the arrays, which
+    must be (B, N, N) and (B, N, L). Every P_i must be lower triangular,
+    with exact zeros above the diagonal, because `block_update` never reads
+    them. A bank of any other shape or with any other entry there raises
+    ValueError.
     """
 
-    block_length: int
-    order: int
     scheme: Scheme
     transitions: np.ndarray  # (max_blocks, N, N)
     kernels: np.ndarray      # (max_blocks, N, L)
 
     def __post_init__(self) -> None:
+        p, k = self.transitions, self.kernels
+        if p.ndim != 3 or k.ndim != 3 or p.shape != (k.shape[0], k.shape[1], k.shape[1]):
+            raise ValueError(
+                f"transitions {p.shape} and kernels {k.shape} are not (B, N, N) and (B, N, L)"
+            )
         # one row's strict upper part at a time: a whole-bank mask or triu
         # copy would be as large as the bank (50 MB at N = 128, 256 blocks)
-        p = self.transitions
         for row in range(p.shape[1] - 1):
             if p[:, row, row + 1:].any():
                 raise ValueError(f"transitions are not lower triangular in row {row}")
+
+    @property
+    def order(self) -> int:
+        return self.kernels.shape[1]
+
+    @property
+    def block_length(self) -> int:
+        return self.kernels.shape[2]
 
     @property
     def max_blocks(self) -> int:
@@ -69,13 +86,7 @@ def build_bank(
     kernels = np.empty((max_blocks, n, ell))
     _fill_bank(op, scheme, transitions, kernels)
     _check_finite(scheme, transitions, kernels)
-    return BlockKernelBank(
-        block_length=block_length,
-        order=n,
-        scheme=scheme,
-        transitions=_freeze(transitions),
-        kernels=_freeze(kernels),
-    )
+    return BlockKernelBank(scheme, _freeze(transitions), _freeze(kernels))
 
 
 def block_update(

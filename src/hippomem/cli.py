@@ -90,8 +90,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _format_table(xs: np.ndarray, values: np.ndarray, header: str) -> str:
     lines = [header]
-    for x, row in zip(xs, np.atleast_2d(values.T).T):
-        cells = " ".join(f"{v:.12e}" for v in np.atleast_1d(row))
+    for x, row in zip(xs, values):
+        cells = " ".join(f"{v:.12e}" for v in row)
         lines.append(f"{x:.12e} {cells}")
     return "\n".join(lines) + "\n"
 

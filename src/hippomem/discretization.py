@@ -32,8 +32,10 @@ its kernel from a scan over the steps, one state row at a time
 each block's own steps from every start column, with no step matrices
 either; ZOH banks take one matrix power per block. Shorter forward Euler
 histories and forward Euler banks, whose early steps amplify the
-high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), stay on the
-step-matrix fold (`_fold_steps`).
+high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), multiply step
+matrices instead (`_fold_steps`). The fold and the scan take the same
+arguments, a block's unit steps and the arrays to fill, so a bank or a
+kernel picks one of the two and numbers the steps the same way for both.
 """
 
 from __future__ import annotations
@@ -244,15 +246,13 @@ def discretize_interval(
         elif scheme is Scheme.FORWARD_EULER:
             a_bar = eye - (delta / t_start) * a
             b_bar = (delta / t_start) * b
-        elif scheme in (Scheme.BACKWARD_EULER, Scheme.BILINEAR):
-            # (I + w h A) [Abar | Bbar] = [I - (1 - w) h A | h B]
+        else:
+            # backward Euler and bilinear: (I + w h A) [Abar | Bbar] = [I - (1 - w) h A | h B]
             w, h = ((1.0, delta / t_end) if scheme is Scheme.BACKWARD_EULER
                     else (0.5, delta / t_start))
             rhs = np.column_stack([eye - (1.0 - w) * h * a, h * b])
             solved = np.linalg.solve(eye + w * h * a, rhs)
             a_bar, b_bar = solved[:, :n], solved[:, n]
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled scheme {scheme}")
 
     _check_finite(scheme, a_bar, b_bar)
     return DiscreteStep(_freeze(a_bar), _freeze(b_bar))
@@ -281,21 +281,11 @@ def sequential_update(
     return MemoryState(coeffs, blocks_absorbed=state.blocks_absorbed)
 
 
-# Unit steps per chunk in `_fold_steps`. The chunk stack holds
-# CHUNK x N x N floats (0.5 MB at N = 32); a larger chunk adds to peak RSS
-# and saves only per-chunk call overhead in the step arithmetic.
-_CHUNK_STEPS = 64
-
 # Rows per panel of a product whose result (`transition_power`) or left
 # factor (`block_kernel.block_update`) is lower triangular: panel rows
 # [top, top + PANEL) meet columns [0, top + PANEL) only, so nothing right of
-# the panel's diagonal block is formed or read. `block_update` takes panels
-# only from N^2 D >= _PANEL_MIN_WORK; below that the per-panel calls cost more
-# than the skipped flops save. One OpenBLAS thread, P_i cycling through a
-# bank, dense -> panels: N = 128, D = 256 230 -> 174 us; N = 64, D = 256
-# 73 -> 67 us; N = 32, D = 256 22 -> 26 us; N = 128, D = 16 24 -> 26 us.
+# the panel's diagonal block is formed or read.
 _PANEL_ROWS = 32
-_PANEL_MIN_WORK = 1 << 20
 
 # Points per block group in `_fill_bank`. Each node table or scan array
 # holds GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS
@@ -314,23 +304,19 @@ def _fill_bank(
     column j of K_i is the product of the block's step matrices above its
     step j times that step's input vector.
 
-    Forward Euler multiplies its step matrices (`_fold_steps`). The other
-    schemes take consecutive blocks in groups of about `_GROUP_POINTS`
-    points: N + 2 quadrature nodes or L + 1 segment ends or scan positions
-    per block, whichever is more. Each group fills its slice of the
-    caller's arrays with the bits of one-block calls. For ZOH the products
-    telescope into one matrix power per block and consecutive differences
-    of `segment_coefficients`, so a group takes one `transition_power` and
-    one `segment_coefficients` call: the two Legendre recurrences run once
-    per group, and the inner node table once per order. Backward Euler and
-    bilinear groups take one `_scan_kernel` call. Groups stay small because
-    their arrays add directly to peak RSS: all 256 blocks of an N = 128 ZOH
-    bank at once would take two 34 MB tables.
+    Consecutive blocks go in groups of about `_GROUP_POINTS` points: N + 2
+    quadrature nodes or L + 1 segment ends or steps per block, whichever is
+    more. Each group fills its slice of the caller's arrays with the bits of
+    one-block calls. For ZOH the products telescope into one matrix power
+    per block and consecutive differences of `segment_coefficients`, so a
+    group takes one `transition_power` and one `segment_coefficients` call:
+    the two Legendre recurrences run once per group, and the inner node
+    table once per order. The other schemes' groups hand their blocks' steps
+    to one `_fold_steps` (forward Euler) or `_scan_kernel` call. Groups stay
+    small because their arrays add directly to peak RSS: all 256 blocks of
+    an N = 128 ZOH bank at once would take two 34 MB tables.
     """
     blocks, n, ell = kernels.shape
-    if scheme is Scheme.FORWARD_EULER:
-        _fold_steps(op, transitions, kernels)
-        return
     group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
     for first in range(0, blocks, group):
         last = min(blocks, first + group)
@@ -344,42 +330,41 @@ def _fill_bank(
             np.subtract(seg[..., 1:], seg[..., :-1], out=out)
         else:
             steps = start[:, None] + np.arange(ell, dtype=float)
-            _scan_kernel(op, scheme, steps, transitions[first:last], kernels[first:last])
+            args = steps, transitions[first:last], kernels[first:last]
+            if scheme is Scheme.FORWARD_EULER:
+                _fold_steps(op, *args)
+            else:
+                _scan_kernel(op, scheme, *args)
 
 
-def _fold_steps(op: HippoOperator, transitions: np.ndarray, kernels: np.ndarray) -> None:
+def _fold_steps(
+    op: HippoOperator, steps: np.ndarray, transitions: np.ndarray, kernels: np.ndarray
+) -> None:
     """Fill forward Euler (P_i, K_i) by multiplying step matrices.
 
-    The arrays and blocks are those of `_fill_bank`. The fold walks all the
-    steps from the last down to step 1 in chunks of `_CHUNK_STEPS`, across
-    block boundaries, so short blocks share one vectorised build of the
-    chunk's steps I - A/k and B/k (as in `discretize_interval`); then the
-    sequential suffix-product loop multiplies them in. The chunk stack is
-    allocated once and kept small, because it adds directly to peak RSS; no
-    (steps, N, N) array is ever built. This fold is O(N^3) per step.
-    `history_kernel` uses it for forward Euler below 4(T-1) >= (N+1)^2, as
-    a one-block bank. Forward Euler banks stay on it: their amplifying early
-    steps make the row scan of `_scan_kernel` unstable.
+    The arguments are those of `_scan_kernel`: steps is (blocks, L), kernels
+    (blocks, N, L) and transitions (blocks, N, C), the first C columns of
+    each P_i. Each block walks its steps from the last down: column j of
+    K_i is the suffix product times the step's input vector h B, and the
+    suffix product then takes the step matrix I - h A, with h = 1/k (as in
+    `discretize_interval`). One step matrix is formed at a time, in one
+    buffer, because a stack of them would add directly to peak RSS (8 MB
+    for 64 steps at N = 128). This fold is O(N^3) per step. Forward Euler
+    stays on it: its early steps amplify the high-order rows
+    (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the row scan of
+    `_scan_kernel` unstable.
     """
-    blocks, n, ell = kernels.shape
-    transitions[:] = np.eye(n)  # the empty product, kept when L = 0
-    size = min(_CHUNK_STEPS, blocks * ell)
-    a_bars, b_bars = np.empty((size, n, n)), np.empty((size, n))
-    for top in range(blocks * ell, 0, -_CHUNK_STEPS):
-        bottom = max(1, top - _CHUNK_STEPS + 1)
-        count = top - bottom + 1
-        h = 1.0 / np.arange(bottom, top + 1, dtype=float)
-        np.multiply(h[:, None, None], op.a_matrix, out=a_bars[:count])
-        np.subtract(np.eye(n), a_bars[:count], out=a_bars[:count])
-        np.multiply(h[:, None], op.b_vector, out=b_bars[:count])
-        for j in range(count - 1, -1, -1):
-            block, col = divmod(bottom + j - 1, ell)
-            if col == ell - 1:
-                prod = np.eye(n)
-            kernels[block, :, col] = prod @ b_bars[j]
-            prod = prod @ a_bars[j]
-            if col == 0:
-                transitions[block] = prod
+    eye = np.eye(op.order)
+    a_bar = np.empty_like(eye)
+    for block, h in enumerate(1.0 / steps):
+        b_bars = h[:, None] * op.b_vector
+        prod = eye
+        for j in range(h.size - 1, -1, -1):
+            kernels[block, :, j] = prod @ b_bars[j]
+            np.multiply(h[j], op.a_matrix, out=a_bar)
+            np.subtract(eye, a_bar, out=a_bar)
+            prod = prod @ a_bar
+        transitions[block] = prod[:, :transitions.shape[2]]
 
 
 def _scan_kernel(
@@ -535,27 +520,27 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
       Bilinear: `_scan_kernel` over one block of steps 1 .. length-1 from
       e0 alone, an O(T log T) scan per state row.
-      Forward Euler below that size: `_fold_steps` multiplies the step
-      matrices. There the exact kernel entries grow large (about 1e8 at
-      N = 32, length = 33), the Hahn recurrence loses digits, and the steps
-      amplify row n for k < (n+1)/2, so a scan of the reverse-order
-      recurrence would be unstable too.
+      Forward Euler below that size: `_fold_steps` over the same block
+      multiplies the step matrices. There the exact kernel entries grow
+      large (about 1e8 at N = 32, length = 33), the Hahn recurrence loses
+      digits, and the steps amplify row n for k < (n+1)/2, so a scan of the
+      reverse-order recurrence would be unstable too.
     """
     length = _as_index("length", length)
     scheme = Scheme(scheme)
     n = op.order
     kernel = np.empty((n, length))
+    forward = scheme is Scheme.FORWARD_EULER
     if scheme is Scheme.ZOH:
         seg = segment_coefficients(op, np.arange(length + 1) / length)
         np.subtract(seg[:, 1:], seg[:, :-1], out=kernel)
-    elif scheme is Scheme.BILINEAR:
-        # one block of steps 1 .. T-1, from e0 only: column 0 is P e0
-        steps = np.arange(1.0, length)[None]
-        _scan_kernel(op, scheme, steps, kernel[None, :, :1], kernel[None, :, 1:])
-    elif scheme is Scheme.FORWARD_EULER and 4 * (length - 1) < (n + 1) ** 2:
-        prod = np.empty((1, n, n))
-        _fold_steps(op, prod, kernel[None, :, 1:])
-        kernel[:, 0] = prod[0, :, 0]  # prod @ e0: exact first-sample absorption
+    elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
+        # one block of steps 1 .. T-1; column 0 is P e0, the exact first-sample absorption
+        args = np.arange(1.0, length)[None], kernel[None, :, :1], kernel[None, :, 1:]
+        if forward:
+            _fold_steps(op, *args)
+        else:
+            _scan_kernel(op, scheme, *args)
     else:
         _hahn_kernel(kernel, scheme is Scheme.BACKWARD_EULER)
     _check_finite(scheme, kernel)

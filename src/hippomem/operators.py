@@ -55,9 +55,12 @@ class HippoOperator:
     below the diagonal; B[n] = sqrt(2n+1). Immutable and safe to share.
     """
 
-    order: int
     a_matrix: np.ndarray
     b_vector: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.a_matrix.shape[0]
 
 
 def build_operator(order: int) -> HippoOperator:
@@ -66,7 +69,7 @@ def build_operator(order: int) -> HippoOperator:
     n = np.arange(order)
     sq = np.sqrt(2.0 * n + 1.0)
     a = np.tril(np.outer(sq, sq), -1) + np.diag(n + 1.0)
-    return HippoOperator(order=order, a_matrix=_freeze(a), b_vector=_freeze(sq))
+    return HippoOperator(a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
 def legendre_table(z: np.ndarray, count: int) -> np.ndarray:

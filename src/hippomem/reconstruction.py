@@ -121,11 +121,17 @@ class ReconstructionBank:
     newest, held once as a read-only broadcast view (stride 0 over blocks).
     """
 
-    mem_length: int
-    order: int
     block_length: int
     strategy: SamplingStrategy
     matrices: np.ndarray  # (max_blocks, L_mem, N)
+
+    @property
+    def mem_length(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def order(self) -> int:
+        return self.matrices.shape[2]
 
     @property
     def max_blocks(self) -> int:
@@ -145,8 +151,6 @@ def build_reconstruction_bank(
     max_blocks = _as_index("max_blocks", max_blocks)
     recon = basis_matrix(sample_points(strategy, 1.0, mem_length), 1.0, op.order)
     return ReconstructionBank(
-        mem_length=mem_length,
-        order=op.order,
         block_length=block_length,
         strategy=strategy,
         matrices=np.broadcast_to(recon, (max_blocks, mem_length, op.order)),

@@ -98,7 +98,7 @@ def test_write_is_deterministic(tmp_path):
 
 def test_write_streams_the_layout_from_any_array_order(tmp_path):
     bank = build_bank(build_operator(5), 3, Scheme.BILINEAR, 2)
-    fortran = BlockKernelBank(bank.block_length, bank.order, bank.scheme,
+    fortran = BlockKernelBank(bank.scheme,
                               np.asfortranarray(bank.transitions),
                               np.asfortranarray(bank.kernels))
     assert not fortran.transitions.flags.c_contiguous

@@ -100,13 +100,16 @@ def test_zoh_bank_makes_one_matrix_power_call_per_group(monkeypatch, order, bloc
     assert calls["transition_power"] == math.ceil(blocks / group)
 
 
-@pytest.mark.parametrize("order, block_length, blocks", [
+STEP_BANK_SHAPES = pytest.mark.parametrize("order, block_length, blocks", [
     (8, 4, 1),
     (32, 64, 12),     # the cli benchmark's shape: one group of 63 blocks
     (32, 64, 70),     # groups of 63 blocks; the last is partial
     (4, 1, 1500),     # groups of 682 blocks
     (2, 5000, 3),     # L + 1 > _GROUP_POINTS: one block per group
 ])
+
+
+@STEP_BANK_SHAPES
 @pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
 def test_scan_bank_makes_one_scan_per_group_and_no_step_matrix(
         monkeypatch, scheme, order, block_length, blocks):
@@ -117,11 +120,27 @@ def test_scan_bank_makes_one_scan_per_group_and_no_step_matrix(
     assert calls == Counter(_scan_kernel=math.ceil(blocks / group))
 
 
-@pytest.mark.parametrize("order, block_length, blocks", [(8, 4, 1), (32, 64, 12)])
-def test_forward_euler_bank_is_one_step_fold(monkeypatch, order, block_length, blocks):
+@STEP_BANK_SHAPES
+def test_forward_euler_bank_makes_one_fold_per_group(monkeypatch, order, block_length, blocks):
+    # groups as in the scan, each folding its blocks' steps
+    group = max(1, _GROUP_POINTS // max(order + 2, block_length + 1))
     calls = count_calls(monkeypatch, discretization, "discretize_interval", *KERNEL_PATHS)
     build_bank(build_operator(order), block_length, Scheme.FORWARD_EULER, blocks)
-    assert calls == Counter(_fold_steps=1)
+    assert calls == Counter(_fold_steps=math.ceil(blocks / group))
+
+
+def test_forward_euler_bank_forms_one_step_matrix_at_a_time():
+    # the bank's own arrays plus a few N x N products and one buffer; a stack
+    # of 64 step matrices (8 MB at N = 128) would hold ten times the bank
+    op = build_operator(128)
+    tracemalloc.start()
+    try:
+        bank = build_bank(op, 64, Scheme.FORWARD_EULER, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    assert peak < payload + 8 * op.a_matrix.nbytes, (peak, payload)
 
 
 def small_attention(max_blocks):
@@ -253,7 +272,7 @@ def test_bank_triangle_check_holds_no_copy_of_the_transitions():
     assert size >= 1 << 21
     tracemalloc.start()
     try:
-        BlockKernelBank(bank.block_length, bank.order, bank.scheme, bank.transitions,
+        BlockKernelBank(bank.scheme, bank.transitions,
                         bank.kernels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
