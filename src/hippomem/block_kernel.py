@@ -41,8 +41,8 @@ class BlockKernelBank:
     The order, block length and block count are those of the arrays, which
     must be (B, N, N) and (B, N, L). Every P_i must be lower triangular,
     with exact zeros above the diagonal, because `block_update` never reads
-    them. A bank of any other shape or with any other entry there raises
-    ValueError.
+    them. A bank of any other shape or with any other entry there, or of an
+    unknown scheme, raises ValueError; a scheme may be given by name.
     """
 
     scheme: Scheme
@@ -50,6 +50,7 @@ class BlockKernelBank:
     kernels: np.ndarray      # (max_blocks, N, L)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         p, k = self.transitions, self.kernels
         if p.ndim != 3 or k.ndim != 3 or p.shape != (k.shape[0], k.shape[1], k.shape[1]):
             raise ValueError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -197,6 +196,7 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ attn-demo
 
 def _state_checksum(*states) -> str:
+    import hashlib  # OpenSSL's libcrypto: ~3.5 MB resident, 4-5 ms; only attn-demo needs it
     digest = hashlib.sha256()
     for state in states:
         digest.update(np.ascontiguousarray(state.coefficients, dtype="<f8"))

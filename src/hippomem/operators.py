@@ -68,7 +68,11 @@ def build_operator(order: int) -> HippoOperator:
     order = _as_index("order", order)
     n = np.arange(order)
     sq = np.sqrt(2.0 * n + 1.0)
-    a = np.tril(np.outer(sq, sq), -1) + np.diag(n + 1.0)
+    # A in one N x N buffer: the outer product, its diagonal and upper
+    # triangle zeroed in place, then the diagonal set
+    a = np.outer(sq, sq)
+    a *= np.tri(order, k=-1, dtype=bool)
+    np.fill_diagonal(a, n + 1.0)
     return HippoOperator(a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 

@@ -1,9 +1,13 @@
 """Binary bank cache files: roundtrip, checksums, rebuild on damage."""
 
+import hashlib
 import math
 import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,18 @@ def test_kernel_bank_roundtrip(tmp_path):
     assert (loaded.order, loaded.block_length, loaded.max_blocks) == (6, 5, 3)
     np.testing.assert_array_equal(loaded.transitions, bank.transitions)
     np.testing.assert_array_equal(loaded.kernels, bank.kernels)
+
+
+def test_kernel_bank_of_a_scheme_name_roundtrips(tmp_path):
+    built = build_bank(build_operator(6), 5, Scheme.ZOH, 3)
+    bank = BlockKernelBank("zoh", built.transitions, built.kernels)
+    assert bank.scheme is Scheme.ZOH
+    path = str(tmp_path / "bank.emkb")
+    write_kernel_bank(path, bank)
+    loaded = read_kernel_bank(path)
+    assert loaded.scheme is Scheme.ZOH
+    np.testing.assert_array_equal(loaded.transitions, built.transitions)
+    np.testing.assert_array_equal(loaded.kernels, built.kernels)
 
 
 def test_reconstruction_bank_roundtrip(tmp_path):
@@ -293,3 +309,44 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(PermissionError):
         write_kernel_bank(str(tmp_path / "bank.emkb"), bank)
     assert os.listdir(tmp_path) == []
+
+
+_CACHE_WORKER = """
+import hashlib, sys
+from hippomem import Scheme, build_operator
+from hippomem.bank_cache import load_or_build_kernel_bank
+op = build_operator(32)
+print("ready", flush=True)
+sys.stdin.readline()                 # every worker starts its lookups together
+for _ in range(3):
+    bank, _, _ = load_or_build_kernel_bank(sys.argv[1], op, 64, Scheme.BILINEAR, 12)
+    print(hashlib.sha256(bank.transitions.tobytes() + bank.kernels.tobytes()).hexdigest())
+"""
+
+
+def _bank_digest(bank):
+    return hashlib.sha256(bank.transitions.tobytes() + bank.kernels.tobytes()).hexdigest()
+
+
+def test_concurrent_builders_of_one_bank_agree(tmp_path):
+    # real processes on one cold cache directory: each may build and write,
+    # but every bank it returns, and the one file left, is build_bank's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    workers = [subprocess.Popen([sys.executable, "-c", _CACHE_WORKER, str(tmp_path)],
+                                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+               for _ in range(3)]
+    for worker in workers:
+        assert worker.stdout.readline() == "ready\n"
+    for worker in workers:
+        worker.stdin.write("go\n")
+        worker.stdin.flush()
+    results = [worker.communicate() for worker in workers]
+    assert [worker.returncode for worker in workers] == [0, 0, 0], [err for _, err in results]
+    want = build_bank(build_operator(32), 64, Scheme.BILINEAR, 12)
+    assert [out.split() for out, _ in results] == [[_bank_digest(want)] * 3] * 3
+    path = tmp_path / "kernel_N32_L64_bilinear_B12.emkb"
+    assert os.listdir(tmp_path) == [path.name]      # no temp file left
+    assert _bank_digest(read_kernel_bank(str(path))) == _bank_digest(want)

@@ -265,6 +265,13 @@ def test_bank_rejects_mismatched_shapes(transitions_shape, kernels_shape):
         BlockKernelBank(Scheme.ZOH, np.zeros(transitions_shape), np.zeros(kernels_shape))
 
 
+def test_bank_coerces_its_scheme():
+    transitions, kernels = np.zeros((3, 6, 6)), np.zeros((3, 6, 4))
+    assert BlockKernelBank("Bilinear", transitions, kernels).scheme is Scheme.BILINEAR
+    with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+        BlockKernelBank("euler", transitions, kernels)
+
+
 def test_bank_sizes_are_those_of_its_arrays():
     bank = BlockKernelBank(Scheme.ZOH, np.zeros((3, 6, 6)), np.zeros((3, 6, 4)))
     assert (bank.max_blocks, bank.order, bank.block_length) == (3, 6, 4)

@@ -331,10 +331,45 @@ for argv in (
 """
 
 
-def test_runs_without_scipy(tmp_path):
+def _run_child(script, tmp_path):
+    """script in a fresh interpreter that imports this checkout's hippomem."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_runs_without_scipy(tmp_path):
+    _run_child(_WITHOUT_SCIPY, tmp_path)
+
+
+_OPENSSL_FOR_ATTN_DEMO_ONLY = """
+import sys
+import hippomem.cli
+assert "_hashlib" not in sys.modules
+d = sys.argv[1]
+with open(d + "/sig.txt", "w") as fh:
+    fh.write("0.5\\n1.0\\n0.25\\n")
+for argv in (
+    ["compress", d + "/sig.txt", "--order", "4"],
+    ["bench-table", "--seeds", "1", "--length", "64"],
+    ["bench-table", "--seeds", "1", "--length", "64", "--format", "json"],
+    ["build-banks", "--order", "4", "--block-length", "4", "--max-blocks", "2",
+     "--cache-dir", d],
+):
+    assert hippomem.cli.main(argv) == 0, argv
+    assert "_hashlib" not in sys.modules, argv
+assert hippomem.cli.main(["attn-demo", "--blocks", "2", "--cache-dir", d]) == 0
+"""
+
+
+def test_only_attn_demo_loads_openssl(tmp_path):
+    # OpenSSL's libcrypto costs every child that loads it ~3.5 MB resident;
+    # only attn-demo's state checksums use it
+    out = _run_child(_OPENSSL_FOR_ATTN_DEMO_ONLY, tmp_path)
+    checksums = [line for line in out.splitlines() if line.startswith("state checksum (")]
+    assert len(checksums) == 2, out
+    assert all(len(line.split()[-1]) == 64 for line in checksums), checksums

@@ -65,6 +65,14 @@ def test_operator_invariants(order):
     assert np.isfinite(a).all() and np.isfinite(b).all()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 32, 128, 512])
+def test_operator_is_the_masked_outer_product_to_the_bit(order):
+    n = np.arange(order)
+    sq = np.sqrt(2.0 * n + 1.0)
+    want = np.tril(np.outer(sq, sq), -1) + np.diag(n + 1.0)
+    assert build_operator(order).a_matrix.tobytes() == want.tobytes()
+
+
 def test_operator_is_immutable():
     op = build_operator(4)
     with pytest.raises(ValueError):

@@ -203,6 +203,19 @@ def test_block_update_holds_two_state_sized_buffers():
     assert 2 * size <= peak < 2.5 * size, (peak, size)
 
 
+def test_operator_builds_a_in_one_buffer():
+    # the outer product, tril's copy and diag's matrix were three N x N
+    # arrays; at N = 512 they set the peak RSS of the bench-table child
+    build_operator(512)  # numpy's first-call set-up is not the operator's
+    tracemalloc.start()
+    try:
+        a = build_operator(512).a_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * a.nbytes, (peak, a.nbytes)
+
+
 class _Numpy:
     """numpy with some attributes replaced: patched over a module's `np`, it
     sees every call that module makes to them."""
