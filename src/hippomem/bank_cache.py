@@ -20,11 +20,12 @@ skip the N^3-scale precomputation:
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
-so that files written by older code are rebuilt rather than read (version 7:
-ZOH transitions with exact zeros above the diagonal). A writer
-streams each array's own buffer into the file and its checksum, and a read
-bank's arrays are read-only views into the file's bytes, so neither copies
-the payload; the 40-byte header keeps it 8-byte aligned.
+so that files written by older code are rebuilt rather than read (version 8:
+backward Euler and bilinear banks solved by one cumulative sum per state
+row). A writer streams each array's own buffer into the file and its
+checksum, and a read bank's arrays are read-only views into the file's
+bytes, so neither copies the payload; the 40-byte header keeps it 8-byte
+aligned.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 7
+_VERSION = 8
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 

@@ -27,13 +27,15 @@ product of steps is a ratio of falling or rising factorials, and both
 kernels come out of discrete Chebyshev (Hahn) polynomials (`_hahn_kernel`).
 Forward Euler uses that form where 4(T-1) >= (N+1)^2, the range in which
 those polynomials stay bounded; backward Euler at every size. Bilinear gets
-its kernel from a scan over the steps, one state row at a time
-(`_scan_kernel`). Backward Euler and bilinear banks run the same scan over
+its kernel one state row at a time (`_scan_kernel`): given the rows above,
+a row follows from a scalar recurrence over the steps whose suffix
+products are again ratios of factorial-like products, so each row is one
+cumulative sum. Backward Euler and bilinear banks solve the same rows over
 each block's own steps from every start column, with no step matrices
 either; ZOH banks take one matrix power per block. Shorter forward Euler
 histories and forward Euler banks, whose early steps amplify the
 high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), multiply step
-matrices instead (`_fold_steps`). The fold and the scan take the same
+matrices instead (`_fold_steps`). The fold and the row solve take the same
 arguments, a block's unit steps and the arrays to fill, so a bank or a
 kernel picks one of the two and numbers the steps the same way for both.
 """
@@ -287,9 +289,10 @@ def sequential_update(
 # the panel's diagonal block is formed or read.
 _PANEL_ROWS = 32
 
-# Points per block group in `_fill_bank`. Each node table or scan array
-# holds GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS
-# and saves only per-degree or per-row call overhead.
+# Points per block group in `_fill_bank`, and per column chunk of a ZOH
+# `history_kernel`. Each node table, segment table or row-solve array holds
+# GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS and
+# saves only per-degree or per-row call overhead.
 _GROUP_POINTS = 4096
 
 
@@ -312,7 +315,10 @@ def _fill_bank(
     group takes one `transition_power` and one `segment_coefficients` call:
     the two Legendre recurrences run once per group, and the inner node
     table once per order. The other schemes' groups hand their blocks' steps
-    to one `_fold_steps` (forward Euler) or `_scan_kernel` call. Groups stay
+    to one `_fold_steps` (forward Euler) or `_scan_kernel` call (backward
+    Euler and bilinear: one cumulative sum per state row, with segments cut
+    from the group's first step only, so a block's bits are those of its
+    one-block call there too). Groups stay
     small because their arrays add directly to peak RSS: all 256 blocks of
     an N = 128 ZOH bank at once would take two 34 MB tables.
     """
@@ -351,7 +357,7 @@ def _fold_steps(
     buffer, because a stack of them would add directly to peak RSS (8 MB
     for 64 steps at N = 128). This fold is O(N^3) per step. Forward Euler
     stays on it: its early steps amplify the high-order rows
-    (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the row scan of
+    (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the row solve of
     `_scan_kernel` unstable.
     """
     eye = np.eye(op.order)
@@ -367,6 +373,60 @@ def _fold_steps(
         transitions[block] = prod[:, :transitions.shape[2]]
 
 
+# Log of the smallest product of row multipliers that one `_scan_kernel`
+# segment may carry (1e-150): q / Phi then stays far inside float64's range.
+_SEGMENT_LOG = -345.0
+
+
+def _segment_bounds(backward: bool, n: int, steps: np.ndarray) -> list[int]:
+    """Positions [0, .., L] that cut each block of steps into `_scan_kernel` segments.
+
+    A segment [lo, hi) is anchored at its end: the multipliers it carries
+    are products of p over its own steps from k on. The cuts keep the top
+    rows' products (bilinear: the top two, one per parity of lambda) above
+    exp(`_SEGMENT_LOG`), walking back from the block end; bilinear's zero
+    step (p = 0 at k = lambda/2) counts as 1, since its row restarts there.
+    Lower rows have larger products at every step k > N/2, and the
+    threshold leaves 150 decades for the steps below. Bilinear needs cuts
+    from about 340 steps at N = 128 and 2550 at N = 64, backward Euler from
+    about 680 and 5700; N = 32 needs none below 279k steps. At steps
+    k > N/2 the group's first block has the smallest products, so the cuts
+    come from it; at k <= N/2, where bilinear's |p| is not monotone in k,
+    each position also takes the smallest over the later blocks that reach
+    it. The cuts thus depend on the group's first step only, and a block's
+    bits not on its group.
+    """
+    ell = steps.shape[1]
+    first = int(steps[0, 0])
+    head = 0 if backward else max(0, min(ell, n // 2 - first + 1))
+    # the first block, then at positions j < head the steps k <= n/2 of the
+    # later blocks and the first step past n/2
+    ks = steps[0]
+    if head:
+        later = np.arange(1, (n // 2 - first) // ell + 2)[:, None]
+        ks = np.concatenate([ks, (first + np.arange(head) + ell * later).ravel()])
+    lams = np.arange(n, max(n - (1 if backward else 2), 0), -1.0)[:, None]
+    if backward:
+        p = (ks + 1.0) / (ks + 1.0 + lams)
+    else:
+        p = np.abs(2.0 * ks - lams) / (2.0 * ks + lams)
+        p[p == 0.0] = 1.0
+    p = p.min(axis=0)
+    if head:
+        np.minimum(p[:head], p[ell:].reshape(-1, head).min(axis=0), out=p[:head])
+    p = p[:ell]
+    if np.prod(p) >= np.exp(_SEGMENT_LOG):
+        return [0, ell]
+    # log of the top rows' product from the block end down to each position
+    logs = np.log(p[::-1]).cumsum()
+    bounds, top = [ell], 0.0
+    while logs[-1] < top + _SEGMENT_LOG:
+        cut = int(np.searchsorted(-logs, -(top + _SEGMENT_LOG), side="right"))
+        bounds.append(ell - cut)
+        top = logs[cut - 1]
+    return [0] + bounds[::-1]
+
+
 def _scan_kernel(
     op: HippoOperator, scheme: Scheme, steps: np.ndarray,
     transitions: np.ndarray, kernels: np.ndarray,
@@ -374,9 +434,11 @@ def _scan_kernel(
     """Fill backward Euler or bilinear (P_i, K_i) row by row, with no step matrices.
 
     steps is (blocks, L): row i holds the unit steps of block i, in order
-    (step k covers [k, k+1]). kernels is (blocks, N, L), and transitions is
-    (blocks, N, C): it takes columns 0 .. C-1 of each P_i, so C = N for a
-    bank and C = 1 for a history kernel, whose column 0 is P e0.
+    (step k covers [k, k+1]), and block i+1 goes on where block i ends, as
+    `_fill_bank` and `history_kernel` number them. kernels is
+    (blocks, N, L), and transitions is (blocks, N, C): it takes columns
+    0 .. C-1 of each P_i, so C = N for a bank and C = 1 for a history
+    kernel, whose column 0 is P e0.
 
     Both schemes solve M = I + c A with the LegS A = diag(n+1) plus the
     strict lower triangle of s s^T (s = B). Backward Euler has h = 1/(k+1),
@@ -387,57 +449,129 @@ def _scan_kernel(
     u_{j-1} = Abar_j u_j over its steps j = L .. 1, so u_0 is column r of
     P_i; from e_0, column j-1 of K_i is h_j M_j^-1 A u_j. Solving M_j z = u_j by forward
     substitution, row n of z needs only S_n = sum_{m<n} s_m z_m from the
-    rows above it. So once those rows are done, row n of every u_j follows
-    from one scalar recurrence over the steps, x_{j-1} = p_j x_j + q_j,
-    with d = 1 + c (n+1) and
-      backward: p = 1/d,               q = -c s_n S_n / d,
-      bilinear: p = (1 - c (n+1))/d,   q = -2 c s_n S_n / d.
-    A Hillis-Steele scan solves it for all steps in log2(L+1) passes,
-    vectorised over blocks and start columns. It composes (p, q) pairs and
-    never divides, so p = 0 is safe. M^-1 is lower triangular, so row n is
-    zero in start columns r > n and the scan covers columns r <= n only.
-    Row n of K_i is h ((n+1) x_j + s_n S_n) / d, which is
-    (h M^-1 A u_j)[n]; the same column written as u_j - u_{j-1} cancels:
-    against a longdouble recurrence it measured 10-50x less accurate. S_n
-    is summed from the scanned u's, z = u_{j-1} (backward) or
-    (u_{j-1} + u_j)/2 (bilinear); solving afresh for z was up to 20x less
-    accurate on an alternating input. Every operation is elementwise per
-    block, so a block's bits do not depend on the blocks scanned with it.
+    rows above it. So once those rows are done, row n (lambda = n+1) of
+    every u_j follows from one scalar recurrence over the steps,
+    x_{j-1} = p_j x_j + q_j, with w = h / (1 + c lambda), q = -s_n S_n w and
+      backward: p_k = (k+1)/(k+1+lambda),  w = 1/(k+1+lambda),
+      bilinear: p_k = (2k-lambda)/(2k+lambda),  w = 2/(2k+lambda).
+    With Phi_j the product of p over the block's steps from j on, the
+    recurrence sums to x = Phi (x_L + reversed cumsum(q / Phi)): one
+    cumulative sum per row, vectorised over blocks and start columns. Phi
+    has a closed form, a ratio of rising factorials (backward,
+    (a+1)_lambda / (e+2)_lambda) or of R(x) = prod_{t<lambda}(x - lambda/2 + t)
+    (bilinear, R(a)/R(e+1)), for steps a .. e. So each row carries it from
+    the row above (bilinear: two rows above, one chain per parity of
+    lambda) by one factor (g(a) - d)/(g(e+1) - d), with g(x) = x, d = -lambda
+    (backward) or g(x) = x(x-1), d = lambda(lambda-2)/4 (bilinear).
+    Numerator and denominator are exact in float64, so a multiplier carries
+    about lambda roundings; a cumulative product over the steps would carry
+    one per step. Two things break the closed form:
+    - Underflow: at large N ln T the top rows' products leave float64's
+      range, so `_segment_bounds` cuts the blocks into segments, each
+      anchored at its end (e = its last step) and fed x from the segment
+      above.
+    - Bilinear's zero step: for even lambda, p = 0 at k = lambda/2, where
+      x restarts from q. Phi there restarts at 1, and below it Phi is the
+      product down to that step: from the start of the segment holding
+      step lambda/2 - 1 up to that step, the row's factor has the
+      denominator (lambda-2)(lambda-1). The restart takes its own
+      cumulative sum, anchored at 0: subtracting the segment's sum would
+      cancel catastrophically. Steps with 2k < lambda have p < 0, and the
+      closed form holds there as it stands.
+    M^-1 is lower triangular, so row n is zero in start columns r > n and
+    the sum covers columns r <= n only. Row n of K_i is
+    w (lambda x_j + s_n S_n), which is (h M^-1 A u_j)[n]; the same column
+    written as u_j - u_{j-1} cancels: against a longdouble recurrence it
+    measured 10-50x less accurate. S_n is summed from the solved u's,
+    z = u_{j-1} (backward) or (u_{j-1} + u_j)/2 (bilinear); solving afresh
+    for z was up to 20x less accurate on an alternating input. Every
+    operation is elementwise per block, and the segments depend on the
+    group's first step only, so a block's bits do not depend on the blocks
+    solved with it.
     """
     blocks, n, ell = kernels.shape
-    cols = transitions.shape[2]
+    starts = np.eye(n, transitions.shape[2])  # row n of u_L = e_r, per start column r
+    transitions[:] = starts                   # zeros above the diagonal; no steps: P = I
+    if not ell:
+        return
     s = op.b_vector
     backward = scheme is Scheme.BACKWARD_EULER
-    h = 1.0 / (steps + 1.0) if backward else 1.0 / steps
-    c = (h if backward else 0.5 * h)[:, None]  # (blocks, 1, L), as p: one per block
-    q_scale = (-1.0 if backward else -2.0) * c
-    total = np.zeros((blocks, cols, ell))      # S_n at every step
-    x = np.empty((blocks, cols, ell + 1))
-    # element L is the constant map to u_L[n] = e_r[n]; the scan never writes it
-    p = np.zeros((blocks, 1, ell + 1))
-    transitions[:] = 0.0
+    bounds = _segment_bounds(backward, n, steps)
+    spans = list(zip(bounds, bounds[1:]))[::-1]  # segments, from the block end
+    segment_start = np.repeat(bounds[:-1], np.diff(bounds))
+    a = steps[:, None, :]
+    # e, the last step of each position's segment
+    e = np.repeat(steps[:, None, np.array(bounds[1:]) - 1], np.diff(bounds), axis=-1)
+    # g(a), g(e+1), and w's denominator less lambda
+    if backward:
+        g, g_end, w_base = a, e + 1.0, a + 1.0
+        phis = [np.ones((blocks, 1, ell))]
+    else:
+        g, g_end, w_base = a * (a - 1.0), e * (e + 1.0), 2.0 * a
+        # lambda = 0, and lambda = 1: R_1(x) = x - 1/2
+        phis = [np.ones((blocks, 1, ell)), (2.0 * a - 1.0) / (2.0 * e + 1.0)]
+    first, positions = int(steps[0, 0]), blocks * ell
+    total = np.zeros((blocks, starts.shape[1], ell))  # S_n at every step
+    x = np.empty((blocks, starts.shape[1], ell + 1))  # element L is u_L[n]
+    y = np.empty_like(total)
+    factor = np.empty((blocks, 1, ell))
+    den = np.empty((blocks, 1, ell))
+    w = np.empty((blocks, 1, ell))                    # -s_n w
+    scaled = np.empty((blocks, 1, ell))               # -s_n w / Phi
+    x_after, total_0, w_0 = x[:, 0, 1:], total[:, 0], w[:, 0]
     for row in range(n):
-        live = min(row + 1, cols)
-        xr, tr = x[:, :live], total[:, :live]
-        q = xr[..., :-1]
-        cn = c * (row + 1.0)
-        d = 1.0 + cn
-        np.divide(1.0 if backward else 1.0 - cn, d, out=p[..., :-1])
-        np.multiply(s[row] * q_scale, tr, out=q)
-        q /= d
-        xr[..., -1] = np.arange(live) == row
-        offset = 1
-        while offset <= ell:
-            # in place on views: the operands overlap, which numpy resolves
-            head, head_p = xr[..., :-offset], p[..., :-offset]
-            head += head_p * xr[..., offset:]
-            head_p *= p[..., offset:]
-            offset *= 2
+        lam = row + 1.0
+        phi = phis[0] if backward else phis[(row + 1) % 2]
+        zero = None
+        if backward or row:
+            offset = -lam if backward else lam * (lam - 2.0) / 4.0
+            np.subtract(g_end, offset, out=den)
+            if not backward and row % 2 and 0 <= (flat := (row + 1) // 2 - first) <= positions:
+                # p = 0 at step lambda/2, flat position `flat`: the steps from
+                # the start of the segment holding the step before it now end
+                # at the zero, and carry the product down to it
+                if flat:
+                    block, j = divmod(flat - 1, ell)
+                    den[block, 0, segment_start[j]:j + 1] = (lam - 2.0) * (lam - 1.0)
+                if flat < positions:
+                    zero = divmod(flat, ell)
+            np.subtract(g, offset, out=factor)
+            factor /= den
+            phi *= factor
+            if zero:
+                phi[zero[0], 0, zero[1]] = 1.0
+        live = min(row + 1, starts.shape[1])
+        xr, tr, yr = x[:, :live], total[:, :live], y[:, :live]
+        xr[..., -1] = starts[row, :live]
+        np.add(w_base, lam, out=w)
+        np.divide(-s[row] * (1.0 if backward else 2.0), w, out=w)
+        np.divide(w, phi, out=scaled)
+        np.multiply(tr, scaled, out=yr)  # q / Phi
+        for lo, hi in spans:
+            ys = yr[..., lo:hi]
+            ys[..., -1] += xr[..., hi]
+            np.add.accumulate(ys[..., ::-1], axis=-1, out=ys[..., ::-1])
+            np.multiply(phi[..., lo:hi], ys, out=xr[..., lo:hi])
+            if zero and lo <= zero[1] < hi:
+                # the restart, from q at the zero step
+                block, z = zero
+                lo = segment_start[z]
+                ys = yr[block, :, lo:z + 1]
+                np.multiply(tr[block, :, lo:z + 1], scaled[block, :, lo:z + 1], out=ys)
+                np.add.accumulate(ys[..., ::-1], axis=-1, out=ys[..., ::-1])
+                np.multiply(phi[block, :, lo:z + 1], ys, out=xr[block, :, lo:z + 1])
         transitions[:, row, :live] = xr[..., 0]
-        kernels[:, row] = h * ((row + 1.0) * x[:, 0, 1:] + s[row] * total[:, 0]) / d[:, 0]
+        k = kernels[:, row]
+        np.multiply(x_after, -lam / s[row], out=k)
+        k -= total_0
+        k *= w_0
         # s_n z_n for the rows below
-        z = xr[..., :-1] if backward else 0.5 * (xr[..., :-1] + xr[..., 1:])
-        tr += s[row] * z
+        if backward:
+            np.multiply(xr[..., :-1], s[row], out=yr)
+        else:
+            np.add(xr[..., :-1], xr[..., 1:], out=yr)
+            yr *= 0.5 * s[row]
+        tr += yr
 
 
 def _hahn_kernel(kernel: np.ndarray, backward: bool) -> None:
@@ -515,16 +649,18 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     fixed by the vectors u_a = Abar_{a+1} ... Abar_{length-1} e0: column 0
     is u_0 and column a is u_a - u_{a-1}.
       ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form,
-      differenced straight from its (N, length + 1) rows.
+      differenced straight from its rows, `_GROUP_POINTS` columns at a
+      time: each column needs only its own two points, so the chunks keep
+      the bits of one table and the peak near the kernel's own size.
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
       Bilinear: `_scan_kernel` over one block of steps 1 .. length-1 from
-      e0 alone, an O(T log T) scan per state row.
+      e0 alone, one O(T) cumulative sum per state row.
       Forward Euler below that size: `_fold_steps` over the same block
       multiplies the step matrices. There the exact kernel entries grow
       large (about 1e8 at N = 32, length = 33), the Hahn recurrence loses
-      digits, and the steps amplify row n for k < (n+1)/2, so a scan of the
-      reverse-order recurrence would be unstable too.
+      digits, and the steps amplify row n for k < (n+1)/2, so a row solve
+      of the reverse-order recurrence would be unstable too.
     """
     length = _as_index("length", length)
     scheme = Scheme(scheme)
@@ -532,8 +668,10 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     kernel = np.empty((n, length))
     forward = scheme is Scheme.FORWARD_EULER
     if scheme is Scheme.ZOH:
-        seg = segment_coefficients(op, np.arange(length + 1) / length)
-        np.subtract(seg[:, 1:], seg[:, :-1], out=kernel)
+        for lo in range(0, length, _GROUP_POINTS):
+            hi = min(lo + _GROUP_POINTS, length)
+            seg = segment_coefficients(op, np.arange(lo, hi + 1) / length)
+            np.subtract(seg[:, 1:], seg[:, :-1], out=kernel[:, lo:hi])
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
         # one block of steps 1 .. T-1; column 0 is P e0, the exact first-sample absorption
         args = np.arange(1.0, length)[None], kernel[None, :, :1], kernel[None, :, 1:]

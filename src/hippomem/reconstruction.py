@@ -125,6 +125,10 @@ class ReconstructionBank:
     strategy: SamplingStrategy
     matrices: np.ndarray  # (max_blocks, L_mem, N)
 
+    def __post_init__(self) -> None:
+        if np.ndim(self.matrices) != 3:
+            raise ValueError(f"matrices must be (B, M, N), got shape {np.shape(self.matrices)}")
+
     @property
     def mem_length(self) -> int:
         return self.matrices.shape[1]

@@ -206,7 +206,7 @@ def _rewrite_header(path, fmt, offset, value):
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
-        for version in (1, 2, 3, 4, 5, 6):
+        for version in (1, 2, 3, 4, 5, 6, 7):
             # an intact file of an older version: only the version check can reject it
             _rewrite_header(path, "<I", _VERSION_AT, version)
             _, _, hit = _load_or_build(tmp_path, strategy)

@@ -16,7 +16,9 @@ from hippomem import (
 )
 from hippomem import discretization
 from hippomem.block_kernel import BlockKernelBank
-from hippomem.discretization import _GROUP_POINTS, segment_coefficients, transition_power
+from hippomem.discretization import (
+    _GROUP_POINTS, _segment_bounds, segment_coefficients, transition_power,
+)
 from hippomem.rng import normals, derive
 
 NON_ZOH = [Scheme.FORWARD_EULER, Scheme.BACKWARD_EULER, Scheme.BILINEAR]
@@ -83,9 +85,9 @@ def test_bank_matches_brute_force(scheme):
 
 @pytest.mark.parametrize("scheme", NON_ZOH)
 def test_bank_blocks_longer_than_a_chunk(scheme):
-    # 133 steps, past 128: the row scan's last doubling pass (offset 128) covers
-    # only the first 6 of each row's 134 positions, and the second block starts
-    # at step 134, not at a power of two
+    # 133 steps, past 128, and the second block starts at step 134, not at a
+    # power of two; at N = 6 the bilinear zero steps k = 1, 2, 3 all fall in
+    # block 1
     op = build_operator(6)
     ell = 133
     bank = build_bank(op, ell, scheme, 2)
@@ -128,6 +130,57 @@ def test_scan_bank_blocks_do_not_depend_on_their_group(scheme, order, ell, block
     assert np.abs(short.kernels[-1] - kernel).max() <= 1e-12
 
 
+def hillis_steele_rows(op, scheme: Scheme, steps: np.ndarray,
+                       transitions: np.ndarray, kernels: np.ndarray) -> None:
+    """`discretization._scan_kernel`'s row recurrence, solved by a Hillis-Steele scan.
+
+    Same arguments and outputs. Row n of every u_j follows from
+    x_{j-1} = p_j x_j + q_j over a block's steps, and log2(L+1) doubling
+    passes compose the (p, q) pairs, with no division and no closed-form
+    multiplier. So it shares no multiplier arithmetic with the row solve it
+    checks, and its per-step products underflow to 0 gracefully.
+    """
+    blocks, n, ell = kernels.shape
+    cols = transitions.shape[2]
+    s = op.b_vector
+    backward = scheme is Scheme.BACKWARD_EULER
+    h = 1.0 / (steps + 1.0) if backward else 1.0 / steps
+    c = (h if backward else 0.5 * h)[:, None]
+    q_scale = (-1.0 if backward else -2.0) * c
+    total = np.zeros((blocks, cols, ell))
+    x = np.empty((blocks, cols, ell + 1))
+    p = np.zeros((blocks, 1, ell + 1))
+    transitions[:] = 0.0
+    for row in range(n):
+        live = min(row + 1, cols)
+        xr, tr = x[:, :live], total[:, :live]
+        q = xr[..., :-1]
+        cn = c * (row + 1.0)
+        d = 1.0 + cn
+        np.divide(1.0 if backward else 1.0 - cn, d, out=p[..., :-1])
+        np.multiply(s[row] * q_scale, tr, out=q)
+        q /= d
+        xr[..., -1] = np.arange(live) == row
+        offset = 1
+        while offset <= ell:
+            head, head_p = xr[..., :-offset], p[..., :-offset]
+            head += head_p * xr[..., offset:]
+            head_p *= p[..., offset:]
+            offset *= 2
+        transitions[:, row, :live] = xr[..., 0]
+        kernels[:, row] = h * ((row + 1.0) * x[:, 0, 1:] + s[row] * total[:, 0]) / d[:, 0]
+        z = xr[..., :-1] if backward else 0.5 * (xr[..., :-1] + xr[..., 1:])
+        tr += s[row] * z
+
+
+def hillis_steele_kernel(op, length: int) -> np.ndarray:
+    """The N x length bilinear history kernel from `hillis_steele_rows`."""
+    kernel = np.empty((op.order, length))
+    hillis_steele_rows(op, Scheme.BILINEAR, np.arange(1.0, length)[None],
+                       kernel[None, :, :1], kernel[None, :, 1:])
+    return kernel
+
+
 def longdouble_block_products(op, ell: int, scheme: Scheme, blocks: int):
     """(P_i, K_i) as products of `discretize_step` matrices, accumulated in np.longdouble.
 
@@ -148,7 +201,11 @@ def longdouble_block_products(op, ell: int, scheme: Scheme, blocks: int):
     return transitions, kernels
 
 
-@pytest.mark.parametrize("order, ell, blocks", [(16, 8, 16), (16, 64, 8), (32, 8, 16), (32, 64, 12)])
+# bilinear's p = 0 at k = lambda/2 restarts a row: at N = 16 the top row's
+# zero step k = 8 ends block 1 (L = 8), starts block 2 (L = 7) or falls
+# inside block 1 (L = 9); lower even rows put theirs at every k < 8
+@pytest.mark.parametrize("order, ell, blocks", [(16, 8, 16), (16, 7, 3), (16, 9, 3), (16, 64, 8),
+                                                (32, 8, 16), (32, 64, 12)])
 @pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
 def test_scan_bank_against_longdouble_step_products(scheme, order, ell, blocks):
     op = build_operator(order)
@@ -181,8 +238,8 @@ def test_zoh_bank_makes_two_legendre_tables_per_group(monkeypatch):
 @pytest.mark.parametrize("length", [1, 209])
 def test_history_kernel_matches_composed_steps(order, scheme, length):
     # column 0 is the exact first-sample absorption: the product of steps 1..T-1 times e0.
-    # T = 1 has no steps. T = 209 takes the bilinear scan 8 passes deep with a partial
-    # last pass, and is below the Hahn line at N = 32 and 128, so forward Euler folds;
+    # T = 1 has no steps. At T = 209 every bilinear zero step k = lambda/2 falls inside
+    # the block. T = 209 is below the Hahn line at N = 32 and 128, so forward Euler folds;
     # at N = 128 that fold is off by 1.3 relative to max|K| against a 120-digit
     # reference, which these products, rounded the same way, do not see.
     # Forward Euler at N=128 has not decayed by this T (|K| ~ 1e16), hence the relative bound.
@@ -198,15 +255,77 @@ def test_history_kernel_matches_composed_steps(order, scheme, length):
 @pytest.mark.parametrize("order", [1, 4, 32, 128])
 @pytest.mark.parametrize("length", [2, 3, 65, 513])
 def test_history_kernel_scan_matches_one_block_bank(scheme, order, length):
-    # history_kernel scans rows (bilinear) or takes the Hahn closed form
-    # (backward Euler); build_bank folds step matrices. Over steps 1..T-1
-    # they build the same operator by independent routes.
+    # Over steps 1..T-1 a one-block bank builds the same operator. Backward
+    # Euler's kernel takes the Hahn closed form and its bank the row solve,
+    # two independent routes. Bilinear's kernel and bank both take the row
+    # solve (from one start column and from all N), so bilinear is also held
+    # to the Hillis-Steele scan of the same rows.
     op = build_operator(order)
     kernel = history_kernel(op, length, scheme)
     bank = build_bank(op, length - 1, scheme, 1)
+    references = [(bank.transitions[0][:, 0], bank.kernels[0])]
+    if scheme is Scheme.BILINEAR:
+        scan = hillis_steele_kernel(op, length)
+        references.append((scan[:, 0], scan[:, 1:]))
     bound = 1e-13 * np.abs(kernel).max()
-    assert np.abs(kernel[:, 1:] - bank.kernels[0]).max() <= bound
-    assert np.abs(kernel[:, 0] - bank.transitions[0][:, 0]).max() <= bound
+    for column_0, columns in references:
+        assert np.abs(kernel[:, 1:] - columns).max() <= bound
+        assert np.abs(kernel[:, 0] - column_0).max() <= bound
+
+
+@pytest.mark.parametrize("order, length", [(16, 8), (33, 17), (16, 2), (64, 9)])
+def test_bilinear_kernel_with_more_rows_than_steps(order, length):
+    # N >= 2T: the top rows' multipliers are all <= 0 (2k <= lambda at every
+    # step), even rows with lambda >= 2T have their zero step past the block,
+    # and at lambda = 2T the block's closed-form denominator g(e+1) - d is 0
+    op = build_operator(order)
+    kernel = history_kernel(op, length, Scheme.BILINEAR)
+    prod, steps = brute_force_block(op, 1, length - 1, Scheme.BILINEAR)
+    expected = np.hstack([prod[:, :1], steps])
+    assert np.abs(kernel - expected).max() <= 1e-12 * np.abs(expected).max()
+    scan = hillis_steele_kernel(op, length)
+    assert np.abs(kernel - scan).max() <= 1e-13 * np.abs(scan).max()
+    constant = kernel.astype(np.longdouble).sum(axis=1).astype(float)
+    assert np.abs(constant - np.eye(order)[0]).max() <= 1e-14
+
+
+def test_bilinear_kernel_past_float64_range_is_solved_in_segments():
+    # at N = 256, T = 2048 the top row's multipliers fall to about 1e-341,
+    # below the smallest float64, so the rows are solved in segments
+    op = build_operator(256)
+    length = 2048
+    assert len(_segment_bounds(False, 256, np.arange(1.0, length)[None])) > 3
+    kernel = history_kernel(op, length, Scheme.BILINEAR)
+    assert np.isfinite(kernel).all()
+    constant = kernel.astype(np.longdouble).sum(axis=1).astype(float)
+    assert np.abs(constant - np.eye(256)[0]).max() <= 1e-13
+    scan = hillis_steele_kernel(op, length)
+    assert np.abs(kernel - scan).max() <= 1e-12 * np.abs(scan).max()
+
+
+def test_segment_cuts_depend_on_the_groups_first_step_only():
+    # at N = 512 bilinear's steps k <= N/2 span three blocks of 120, where
+    # |p| is not monotone in k; groups of 1 to 6 blocks from step 1 cut
+    # their blocks alike, so a bank's prefix keeps the longer bank's bits
+    steps = 1.0 + np.arange(6 * 120).reshape(6, 120)
+    for backward in (False, True):
+        cuts = [_segment_bounds(backward, 512, steps[:b]) for b in range(1, 7)]
+        assert all(c == cuts[0] for c in cuts), cuts
+    assert len(_segment_bounds(False, 512, steps)) > 2
+
+
+def test_bank_in_segments_keeps_the_constant_oracle():
+    # blocks of 400 steps at N = 192 take two segments each (bilinear and
+    # backward Euler); a constant streamed through any block stays e0:
+    # P_i e0 + K_i 1 = e0, because A e0 = B
+    op = build_operator(192)
+    steps = 1.0 + np.arange(400)[None]
+    e0 = np.eye(192)[0]
+    for scheme in (Scheme.BACKWARD_EULER, Scheme.BILINEAR):
+        assert len(_segment_bounds(scheme is Scheme.BACKWARD_EULER, 192, steps)) == 3
+        bank = build_bank(op, 400, scheme, 2)
+        for p, k in zip(bank.transitions, bank.kernels):
+            assert np.abs(p[:, 0] + k.sum(axis=1) - e0).max() <= 1e-13
 
 
 @pytest.mark.parametrize("order,offset", [(order, offset) for order in (1, 2, 4, 16, 32)

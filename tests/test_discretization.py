@@ -486,13 +486,17 @@ def longdouble_state(order: int, signal: np.ndarray, scheme: Scheme) -> np.ndarr
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BACKWARD_EULER, Scheme.BILINEAR])
-@pytest.mark.parametrize("order,length", [(32, 2048), (128, 1024)])
+@pytest.mark.parametrize("order,length", [(32, 2048), (128, 1024), (64, 1500)])
 def test_history_kernel_against_longdouble_recurrence(scheme, order, length):
     # an alternating input cancels neighbouring columns, so it shows rounding
     # that differs from one column to the next; a constant input compresses
-    # to exactly e0. Worst measured: backward Euler's closed form 6.7e-16
-    # (constant, N = 128), bilinear's scan 1.2e-15 (constant, N = 32).
-    kernel = history_kernel(build_operator(order), length, scheme)
+    # to exactly e0. kernel @ signal is taken in longdouble: a float64 BLAS
+    # product adds its own summation order's rounding (3.1e-15 for the
+    # bilinear kernel at (32, 2048), 6.4e-15 for backward Euler's at
+    # (64, 1500)), which would hide the kernel's. Worst measured: backward
+    # Euler's closed form 1.8e-16, bilinear's row solve 7.5e-16 (constant,
+    # N = 32).
+    kernel = history_kernel(build_operator(order), length, scheme).astype(np.longdouble)
     signals = {
         "uniform": np.random.default_rng(order).uniform(-1.0, 1.0, length),
         "alternating": (-1.0) ** np.arange(length),
@@ -500,7 +504,8 @@ def test_history_kernel_against_longdouble_recurrence(scheme, order, length):
     }
     bound = 1e-15 if scheme is Scheme.BACKWARD_EULER else 2e-15
     for name, signal in signals.items():
-        err = np.abs(kernel @ signal - longdouble_state(order, signal, scheme)).max()
+        state = (kernel @ signal.astype(np.longdouble)).astype(float)
+        err = np.abs(state - longdouble_state(order, signal, scheme)).max()
         assert err <= bound, (name, err)
 
 
@@ -611,6 +616,15 @@ def test_backward_history_kernel_against_mpmath(order, length):
     kernel = history_kernel(build_operator(order), length, Scheme.BACKWARD_EULER)
     ref = mpmath_backward_kernel(order, length)
     assert np.abs(kernel - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("length", [4096, 4097, 10007])
+def test_zoh_kernel_chunks_keep_the_bits_of_one_segment_table(length):
+    # history_kernel fills ZOH columns 4096 at a time; each column is the
+    # difference of its own two segment ends
+    op = build_operator(32)
+    seg = segment_coefficients(op, np.arange(length + 1) / length)
+    np.testing.assert_array_equal(history_kernel(op, length, Scheme.ZOH), seg[:, 1:] - seg[:, :-1])
 
 
 @pytest.mark.parametrize("order,length", [(32, 512), (128, 1000)])

@@ -18,7 +18,7 @@ from hippomem import (
     retrieve,
     zero_state,
 )
-from hippomem.reconstruction import sample_points
+from hippomem.reconstruction import ReconstructionBank, sample_points
 from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
 
 UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
@@ -191,6 +191,16 @@ def test_retrieve_errors():
         retrieve(MemoryState(np.zeros((6, 1)), blocks_absorbed=3), bank)  # beyond bank
     with pytest.raises(ValueError):
         retrieve(MemoryState(np.zeros((5, 1)), blocks_absorbed=1), bank)  # wrong order
+
+
+def test_bank_rejects_matrices_that_are_not_3d():
+    # (B, M, N): order, mem_length and max_blocks are read from the shape
+    recon = basis_matrix(sample_points(UNIFORM, 1.0, 4), 1.0, 6)
+    for bad in (recon, recon[0], recon[None, None]):
+        with pytest.raises(ValueError, match=r"\(B, M, N\)"):
+            ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=bad)
+    bank = ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=recon[None])
+    assert (bank.max_blocks, bank.mem_length, bank.order) == (1, 4, 6)
 
 
 def test_constant_history_retrieves_constant_everywhere():

@@ -143,6 +143,31 @@ def test_forward_euler_bank_forms_one_step_matrix_at_a_time():
     assert peak < payload + 8 * op.a_matrix.nbytes, (peak, payload)
 
 
+def traced_peak(build):
+    """(result, tracemalloc peak in bytes) of build()."""
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_bilinear_kernel_holds_little_beside_the_kernel():
+    # the row solve keeps about a dozen length-T arrays (3.5 MB here) beside the
+    # 33.6 MB kernel; at T = 32768 it runs in segments
+    kernel, peak = traced_peak(lambda: history_kernel(build_operator(128), 32768, Scheme.BILINEAR))
+    assert peak <= 1.2 * kernel.nbytes, (peak, kernel.nbytes)
+
+
+def test_zoh_kernel_fills_its_columns_in_chunks():
+    # one segment table for all 131072 points would hold two more kernel-sized
+    # arrays (the Legendre table and its differences): a peak of 405 MB
+    kernel, peak = traced_peak(lambda: history_kernel(build_operator(128), 131072, Scheme.ZOH))
+    assert peak <= 1.2 * kernel.nbytes, (peak, kernel.nbytes)
+
+
 def small_attention(max_blocks):
     """(cfg, weights, kernel bank, reconstruction bank) of a tiny ZOH block."""
     cfg = AttentionConfig(model_dim=8, head_count=2, head_dim=4, block_length=4, mem_length=3,
