@@ -373,9 +373,9 @@ def _fold_steps(
         transitions[block] = prod[:, :transitions.shape[2]]
 
 
-# Log of the smallest product of row multipliers that one `_scan_kernel`
-# segment may carry (1e-150): q / Phi then stays far inside float64's range.
-_SEGMENT_LOG = -345.0
+# Smallest product of row multipliers that one `_scan_kernel` segment may
+# carry: q / Phi then stays far inside float64's range.
+_SEGMENT_MIN = 1e-150
 
 
 def _segment_bounds(backward: bool, n: int, steps: np.ndarray) -> list[int]:
@@ -384,12 +384,12 @@ def _segment_bounds(backward: bool, n: int, steps: np.ndarray) -> list[int]:
     A segment [lo, hi) is anchored at its end: the multipliers it carries
     are products of p over its own steps from k on. The cuts keep the top
     rows' products (bilinear: the top two, one per parity of lambda) above
-    exp(`_SEGMENT_LOG`), walking back from the block end; bilinear's zero
+    `_SEGMENT_MIN`, walking back from the block end; bilinear's zero
     step (p = 0 at k = lambda/2) counts as 1, since its row restarts there.
     Lower rows have larger products at every step k > N/2, and the
     threshold leaves 150 decades for the steps below. Bilinear needs cuts
-    from about 340 steps at N = 128 and 2550 at N = 64, backward Euler from
-    about 680 and 5700; N = 32 needs none below 279k steps. At steps
+    from about 340 steps at N = 128 and 2570 at N = 64, backward Euler from
+    about 680 and 5780; N = 32 needs none below 279k steps. At steps
     k > N/2 the group's first block has the smallest products, so the cuts
     come from it; at k <= N/2, where bilinear's |p| is not monotone in k,
     each position also takes the smallest over the later blocks that reach
@@ -415,15 +415,15 @@ def _segment_bounds(backward: bool, n: int, steps: np.ndarray) -> list[int]:
     if head:
         np.minimum(p[:head], p[ell:].reshape(-1, head).min(axis=0), out=p[:head])
     p = p[:ell]
-    if np.prod(p) >= np.exp(_SEGMENT_LOG):
+    if np.prod(p) >= _SEGMENT_MIN:
         return [0, ell]
     # log of the top rows' product from the block end down to each position
     logs = np.log(p[::-1]).cumsum()
-    bounds, top = [ell], 0.0
-    while logs[-1] < top + _SEGMENT_LOG:
-        cut = int(np.searchsorted(-logs, -(top + _SEGMENT_LOG), side="right"))
+    bounds, floor = [ell], np.log(_SEGMENT_MIN)
+    while logs[-1] < floor:
+        cut = int(np.searchsorted(-logs, -floor, side="right"))
         bounds.append(ell - cut)
-        top = logs[cut - 1]
+        floor = logs[cut - 1] + np.log(_SEGMENT_MIN)
     return [0] + bounds[::-1]
 
 
