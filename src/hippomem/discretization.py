@@ -472,8 +472,8 @@ def _scan_kernel(
       above.
     - Bilinear's zero step: for even lambda, p = 0 at k = lambda/2, where
       x restarts from q. Phi there restarts at 1, and below it Phi is the
-      product down to that step: from the start of the segment holding
-      step lambda/2 - 1 up to that step, the row's factor has the
+      product down to the zero: the steps from the start of the segment
+      holding step lambda/2 - 1 through that step take the factor's
       denominator (lambda-2)(lambda-1). The restart takes its own
       cumulative sum, anchored at 0: subtracting the segment's sum would
       cancel catastrophically. Steps with 2k < lambda have p < 0, and the
