@@ -23,13 +23,6 @@ from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
 
-# `block_update` takes P_i C in row panels of `_PANEL_ROWS` only from
-# N^2 D >= _PANEL_MIN_WORK; below that the per-panel calls cost more than
-# the skipped flops save. One OpenBLAS thread, P_i cycling through a bank,
-# dense -> panels: N = 128, D = 256 230 -> 174 us; N = 64, D = 256
-# 73 -> 67 us; N = 32, D = 256 22 -> 26 us; N = 128, D = 16 24 -> 26 us.
-_PANEL_MIN_WORK = 1 << 20
-
 
 @dataclass(frozen=True)
 class BlockKernelBank:
@@ -96,10 +89,12 @@ def block_update(
     """Fold one block of inputs into the state: C <- P_i C + K_i F_i.
 
     Equivalent to applying the per-step recurrence over the block token by
-    token, whatever the block length. P_i C is one product, or, from
-    N^2 D >= `_PANEL_MIN_WORK` on, one per row panel of `_PANEL_ROWS` rows
-    that skips the zeros right of the panel's diagonal block, with the bits
-    of the full product; K_i F_i is one more product, added into it.
+    token, whatever the block length. P_i C is one product per row panel of
+    `_PANEL_ROWS` rows, which skips the zeros right of the panel's diagonal
+    block and keeps the bits of the full product P_i @ C; K_i F_i is one
+    more product, added into it. A one-row last panel joins the panel above
+    it: numpy forms a one-row product as a matrix-vector product, which
+    does not sum in the full product's order.
     """
     position = state.blocks_absorbed + 1
     if position > bank.max_blocks:
@@ -116,11 +111,11 @@ def block_update(
             f"inputs shape {f.shape} != ({bank.block_length}, {state.channel_count})"
         )
     p, c = bank.transitions[position - 1], state.coefficients
-    n, d = c.shape
-    rows = _PANEL_ROWS if n * n * d >= _PANEL_MIN_WORK else n
-    coeffs = np.empty((n, d))
-    for top in range(0, n, rows):
-        end = min(top + rows, n)
+    n = state.order
+    coeffs = np.empty(c.shape)
+    top = 0
+    for end in [*range(_PANEL_ROWS, n - 1, _PANEL_ROWS), n]:
         np.matmul(p[top:end, :end], c[:end], out=coeffs[top:end])
+        top = end
     coeffs += np.matmul(bank.kernels[position - 1], f)
     return MemoryState(coeffs, blocks_absorbed=position)

@@ -332,6 +332,13 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parsing
 
+def _directory(value: str) -> str:
+    # os.makedirs("") would fail later with a bare "No such file or directory"
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 # Each shared flag's type and default, declared once. A --config file may
 # set any of these except an output path; its values become subparser
 # defaults, so precedence is flag > config > default.
@@ -350,7 +357,8 @@ _OPTIONS = {
     "heads": dict(type=int, default=2, help="attention heads"),
     "head_dim": dict(type=int, default=16, help="per-head dimension (even)"),
     "blocks": dict(type=int, default=4, help="number of blocks to process"),
-    "cache_dir": dict(help=f"bank cache directory (default ${_CACHE_ENV} or ./.bank_cache)"),
+    "cache_dir": dict(type=_directory,
+                      help=f"bank cache directory (default ${_CACHE_ENV} or ./.bank_cache)"),
     "out": dict(help="output file path"),
     "format": dict(choices=["csv", "json"], default="csv", help="report format"),
 }

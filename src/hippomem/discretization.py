@@ -35,9 +35,9 @@ each block's own steps from every start column, with no step matrices
 either; ZOH banks take one matrix power per block. Shorter forward Euler
 histories and forward Euler banks, whose early steps amplify the
 high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), multiply step
-matrices instead (`_fold_steps`). The fold and the row solve take the same
-arguments, a block's unit steps and the arrays to fill, so a bank or a
-kernel picks one of the two and numbers the steps the same way for both.
+matrices instead (`_fold_steps`). A kernel that walks its steps is a
+one-block bank, so `_fill_bank` alone picks the fold or the row solve and
+numbers a block's steps.
 """
 
 from __future__ import annotations
@@ -301,9 +301,11 @@ def _fill_bank(
 ) -> None:
     """Fill (P_i, K_i) for consecutive blocks of unit steps from step 1 on.
 
-    transitions is (blocks, N, N) and kernels is (blocks, N, L); block i
+    transitions is (blocks, N, C) and kernels is (blocks, N, L); block i
     (0-based) covers steps i L + 1 .. (i + 1) L and is read at horizon
-    (i + 1) L + 1. P_i is the ordered product of the block's step matrices;
+    (i + 1) L + 1. P_i is the ordered product of the block's step matrices,
+    of which transitions takes columns 0 .. C-1: C = N for `build_bank`, and
+    C = 1 for `history_kernel`'s one-block banks (ZOH takes C = N only);
     column j of K_i is the product of the block's step matrices above its
     step j times that step's input vector.
 
@@ -348,17 +350,17 @@ def _fold_steps(
 ) -> None:
     """Fill forward Euler (P_i, K_i) by multiplying step matrices.
 
-    The arguments are those of `_scan_kernel`: steps is (blocks, L), kernels
-    (blocks, N, L) and transitions (blocks, N, C), the first C columns of
-    each P_i. Each block walks its steps from the last down: column j of
-    K_i is the suffix product times the step's input vector h B, and the
-    suffix product then takes the step matrix I - h A, with h = 1/k (as in
-    `discretize_interval`). One step matrix is formed at a time, in one
-    buffer, because a stack of them would add directly to peak RSS (8 MB
-    for 64 steps at N = 128). This fold is O(N^3) per step. Forward Euler
-    stays on it: its early steps amplify the high-order rows
-    (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the row solve of
-    `_scan_kernel` unstable.
+    The arguments are those of `_scan_kernel`, from `_fill_bank` only:
+    steps is (blocks, L), kernels (blocks, N, L) and transitions
+    (blocks, N, C), the first C columns of each P_i. Each block walks its
+    steps from the last down: column j of K_i is the suffix product times
+    the step's input vector h B, and the suffix product then takes the step
+    matrix I - h A, with h = 1/k (as in `discretize_interval`). One step
+    matrix is formed at a time, in one buffer, because a stack of them would
+    add directly to peak RSS (8 MB for 64 steps at N = 128). This fold is
+    O(N^3) per step. Forward Euler stays on it: its early steps amplify the
+    high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the
+    row solve of `_scan_kernel` unstable.
     """
     eye = np.eye(op.order)
     a_bar = np.empty_like(eye)
@@ -435,10 +437,10 @@ def _scan_kernel(
 
     steps is (blocks, L): row i holds the unit steps of block i, in order
     (step k covers [k, k+1]), and block i+1 goes on where block i ends, as
-    `_fill_bank` and `history_kernel` number them. kernels is
-    (blocks, N, L), and transitions is (blocks, N, C): it takes columns
-    0 .. C-1 of each P_i, so C = N for a bank and C = 1 for a history
-    kernel, whose column 0 is P e0.
+    `_fill_bank`, its only caller, numbers them. kernels is (blocks, N, L),
+    and transitions is (blocks, N, C): it takes columns 0 .. C-1 of each
+    P_i, so C = N for a bank and C = 1 for a history kernel, whose column
+    0 is P e0 and whose rows solve from e0 alone.
 
     Both schemes solve M = I + c A with the LegS A = diag(n+1) plus the
     strict lower triangle of s s^T (s = B). Backward Euler has h = 1/(k+1),
@@ -654,13 +656,14 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       the bits of one table and the peak near the kernel's own size.
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
-      Bilinear: `_scan_kernel` over one block of steps 1 .. length-1 from
-      e0 alone, one O(T) cumulative sum per state row.
-      Forward Euler below that size: `_fold_steps` over the same block
-      multiplies the step matrices. There the exact kernel entries grow
-      large (about 1e8 at N = 32, length = 33), the Hahn recurrence loses
-      digits, and the steps amplify row n for k < (n+1)/2, so a row solve
-      of the reverse-order recurrence would be unstable too.
+      Bilinear, and forward Euler below that size: a one-block bank over
+      steps 1 .. length-1 (`_fill_bank`), with P e0 as column 0. Bilinear
+      solves it from e0 alone, one O(T) cumulative sum per state row;
+      forward Euler multiplies the step matrices, because there the exact
+      kernel entries grow large (about 1e8 at N = 32, length = 33), the
+      Hahn recurrence loses digits, and the steps amplify row n for
+      k < (n+1)/2, so a row solve of the reverse-order recurrence would be
+      unstable too.
     """
     length = _as_index("length", length)
     scheme = Scheme(scheme)
@@ -673,12 +676,8 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
             seg = segment_coefficients(op, np.arange(lo, hi + 1) / length)
             np.subtract(seg[:, 1:], seg[:, :-1], out=kernel[:, lo:hi])
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
-        # one block of steps 1 .. T-1; column 0 is P e0, the exact first-sample absorption
-        args = np.arange(1.0, length)[None], kernel[None, :, :1], kernel[None, :, 1:]
-        if forward:
-            _fold_steps(op, *args)
-        else:
-            _scan_kernel(op, scheme, *args)
+        # steps 1 .. T-1; P keeps column 0, P e0, the exact first-sample absorption
+        _fill_bank(op, scheme, kernel[None, :, :1], kernel[None, :, 1:])
     else:
         _hahn_kernel(kernel, scheme is Scheme.BACKWARD_EULER)
     _check_finite(scheme, kernel)

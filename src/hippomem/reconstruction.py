@@ -114,11 +114,12 @@ def sample_points(strategy: SamplingStrategy, history_length: float, count: int)
 
 @dataclass(frozen=True)
 class ReconstructionBank:
-    """The reconstruction matrix R for histories of 1 .. max_blocks blocks.
+    """The reconstruction matrix R, which serves a history of any length.
 
-    matrices[i-1] serves a history of i blocks. Every entry is the same R,
-    the basis at the strategy's sample points with rows ordered oldest to
-    newest, held once as a read-only broadcast view (stride 0 over blocks).
+    Every entry of matrices is the same R, the basis at the strategy's
+    sample points with rows ordered oldest to newest, held once as a
+    read-only broadcast view (stride 0 over blocks); `retrieve` reads
+    matrices[0]. max_blocks only sizes the view and names the cache file.
     """
 
     block_length: int
@@ -149,7 +150,8 @@ def build_reconstruction_bank(
     block_length: int,
     max_blocks: int,
 ) -> ReconstructionBank:
-    """Precompute R for every history length i * block_length, i = 1..max_blocks."""
+    """Compute R once, at t = 1, for every history length; max_blocks only
+    sizes the view, and with block_length names the cache file."""
     mem_length = _as_index("mem_length", mem_length)
     block_length = _as_index("block_length", block_length)
     max_blocks = _as_index("max_blocks", max_blocks)
@@ -162,18 +164,13 @@ def build_reconstruction_bank(
 
 
 def retrieve(state: MemoryState, bank: ReconstructionBank) -> np.ndarray:
-    """Reconstructed history summary R_i @ C, rows ordered past to present.
+    """Reconstructed history summary R @ C, rows ordered past to present.
 
-    Requires at least one absorbed block; a bank never extrapolates beyond
-    the positions it was built for.
+    R does not depend on the history length, so a state of any number of
+    absorbed blocks, at least one, reads `bank.matrices[0]`.
     """
-    absorbed = state.blocks_absorbed
-    if absorbed < 1:
+    if state.blocks_absorbed < 1:
         raise ValueError("state holds no history; nothing to retrieve")
-    if absorbed > bank.max_blocks:
-        raise ValueError(
-            f"history of {absorbed} blocks exceeds bank capacity {bank.max_blocks}"
-        )
     if state.order != bank.order:
         raise ValueError(f"state order {state.order} != bank order {bank.order}")
-    return bank.matrices[absorbed - 1] @ state.coefficients
+    return bank.matrices[0] @ state.coefficients

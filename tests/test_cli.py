@@ -253,6 +253,23 @@ def test_empty_cache_dir_env_falls_back_to_working_directory(tmp_path, capsys, m
     assert (tmp_path / ".bank_cache").is_dir()
 
 
+@pytest.mark.parametrize("command", ["build-banks", "attn-demo"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_empty_cache_dir_is_usage_error(tmp_path, capsys, monkeypatch, command, via):
+    # refused as a usage error before os.makedirs("") could fail with a bare ENOENT
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cache_dir =\n")
+    argv = ([command, "--cache-dir", ""] if via == "flag"
+            else ["--config", str(cfg), command])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--cache-dir: must not be empty" in captured.err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orderx = 8\n")

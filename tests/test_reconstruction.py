@@ -188,9 +188,21 @@ def test_retrieve_errors():
     with pytest.raises(ValueError):
         retrieve(zero_state(6, 1), bank)            # no history yet
     with pytest.raises(ValueError):
-        retrieve(MemoryState(np.zeros((6, 1)), blocks_absorbed=3), bank)  # beyond bank
-    with pytest.raises(ValueError):
         retrieve(MemoryState(np.zeros((5, 1)), blocks_absorbed=1), bank)  # wrong order
+
+
+def test_retrieve_reads_any_horizon():
+    # R does not depend on the history length, so a 2-block bank reads a
+    # 5-block state with the bits of a 5-block bank
+    op = build_operator(6)
+    strategy = SamplingStrategy(SamplingKind.EXPONENTIAL, 0.7)
+    coeffs = np.linspace(-1.0, 2.0, 18).reshape(6, 3)
+    state = MemoryState(coeffs, blocks_absorbed=5)
+    short = build_reconstruction_bank(op, strategy, 4, 8, 2)
+    got = retrieve(state, short)
+    np.testing.assert_array_equal(got, short.matrices[0] @ coeffs)
+    np.testing.assert_array_equal(got, retrieve(state, build_reconstruction_bank(
+        op, strategy, 4, 8, 5)))
 
 
 def test_bank_rejects_matrices_that_are_not_3d():

@@ -261,14 +261,16 @@ def _rows_and_columns(view, base):
 
 @pytest.mark.parametrize("order, channels, panels", [
     (128, 256, 4),   # the stream benchmark's shape: four 32-row panels
-    (64, 256, 2),    # N^2 D = 2^20, the smallest product taken in panels
-    (32, 256, 1),    # the attn benchmark's shape: one product, as before
-    (128, 16, 1),
+    (64, 256, 2),
+    (32, 256, 1),    # the attn benchmark's shape: one product
+    (128, 16, 4),    # panels at every size
+    (65, 256, 2),    # a one-row last panel joins the panel above: rows 32 .. 64
 ])
 def test_block_update_reads_nothing_right_of_a_panels_diagonal_block(
         monkeypatch, order, channels, panels):
     # panel rows [top, end) read columns [0, end) of P_i, never the zeros past
-    # their diagonal block; one more product takes K_i F_i
+    # their diagonal block; the last panel ends at row N, and one more
+    # product takes K_i F_i
     bank = build_bank(build_operator(order), 4, Scheme.ZOH, 1)
     p = bank.transitions[0]
     products = []
@@ -279,9 +281,9 @@ def test_block_update_reads_nothing_right_of_a_panels_diagonal_block(
 
     monkeypatch.setattr(block_kernel, "np", _Numpy(matmul=matmul))
     block_update(zero_state(order, channels), np.ones((4, channels)), bank)
-    rows = order // panels
-    assert products == [((top, top + rows), (0, top + rows))
-                        for top in range(0, order, rows)] + ["K F"]
+    tops = [32 * i for i in range(panels)]
+    assert products == [((top, end), (0, end))
+                        for top, end in zip(tops, tops[1:] + [order])] + ["K F"]
 
 
 def test_softmax_exponentiates_no_masked_score(monkeypatch):
