@@ -31,12 +31,14 @@ from .bank_cache import (
     load_or_build_kernel_bank,
     load_or_build_reconstruction_bank,
 )
-from .discretization import Scheme, history_kernel, zero_state
+from .block_kernel import build_bank
+from .discretization import _GROUP_POINTS, Scheme, history_kernel, zero_state
 from .operators import basis_matrix, build_operator
 from .reconstruction import (
     DEFAULT_DECAY,
     SamplingKind,
     SamplingStrategy,
+    build_reconstruction_bank,
     sample_points,
 )
 from .signal_bench import rows_to_csv, rows_to_json, run_table
@@ -143,7 +145,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
     state = history_kernel(op, length, scheme) @ data        # (N, D)
     grid = np.arange(length, dtype=float)
-    full = basis_matrix(grid, float(length), args.order) @ state
+    # row chunks: the whole T x N basis would outweigh the kernel at long T
+    full = np.concatenate([
+        basis_matrix(grid[lo:lo + _GROUP_POINTS], float(length), args.order) @ state
+        for lo in range(0, length, _GROUP_POINTS)])
     mse = float(np.mean((full - data) ** 2))
     pts = sample_points(strategy, float(length), mem_length)
     summary_rows = basis_matrix(pts, float(length), args.order) @ state
@@ -258,15 +263,16 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
         strategy=train_strategy,
     )
     op = build_operator(cfg.hippo_order)
-    kernel_bank, _, _ = load_or_build_kernel_bank(
-        args.cache_dir, op, cfg.block_length, cfg.scheme, args.blocks)
-    banks = {}
-    for strat in {train_strategy, eval_strategy}:
-        if cfg.mem_length > 0:
-            banks[strat], _, _ = load_or_build_reconstruction_bank(
-                args.cache_dir, op, strat, cfg.mem_length, cfg.block_length, args.blocks)
-        else:
-            banks[strat] = None
+    try:
+        kernel_bank, _, _ = load_or_build_kernel_bank(
+            args.cache_dir, op, cfg.block_length, cfg.scheme, args.blocks)
+    except OSError as exc:
+        # unlike build-banks, the demo needs the bank, not the file
+        print(f"warning: kernel bank not cached: {exc}", file=sys.stderr)
+        kernel_bank = build_bank(op, cfg.block_length, cfg.scheme, args.blocks)
+    banks = {strat: build_reconstruction_bank(op, strat, cfg.mem_length, cfg.block_length,
+                                              args.blocks) if cfg.mem_length else None
+             for strat in {train_strategy, eval_strategy}}
 
     weights = init_weights(cfg, args.seed)
     inputs = [

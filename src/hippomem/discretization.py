@@ -289,8 +289,9 @@ def sequential_update(
 # the panel's diagonal block is formed or read.
 _PANEL_ROWS = 32
 
-# Points per block group in `_fill_bank`, and per column chunk of a ZOH
-# `history_kernel`. Each node table, segment table or row-solve array holds
+# Points per block group in `_fill_bank`, per column chunk of a ZOH
+# `history_kernel`, and per row chunk of the CLI's full-grid basis in
+# `compress`. Each node table, segment table or row-solve array holds
 # GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS and
 # saves only per-degree or per-row call overhead.
 _GROUP_POINTS = 4096

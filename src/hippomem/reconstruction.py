@@ -117,9 +117,9 @@ class ReconstructionBank:
     """The reconstruction matrix R, which serves a history of any length.
 
     Every entry of matrices is the same R, the basis at the strategy's
-    sample points with rows ordered oldest to newest, held once as a
-    read-only broadcast view (stride 0 over blocks); `retrieve` reads
-    matrices[0]. max_blocks only sizes the view and names the cache file.
+    sample points, rows oldest to newest; entries that differ raise. The
+    builder and the cache reader give a read-only stride-0 view, which is
+    not compared. `retrieve` reads matrices[0]; max_blocks sizes the view.
     """
 
     block_length: int
@@ -129,6 +129,8 @@ class ReconstructionBank:
     def __post_init__(self) -> None:
         if np.ndim(self.matrices) != 3:
             raise ValueError(f"matrices must be (B, M, N), got shape {np.shape(self.matrices)}")
+        if self.matrices.strides[0] and not (self.matrices[1:] == self.matrices[:1]).all():
+            raise ValueError("every entry of matrices must be the same R")
 
     @property
     def mem_length(self) -> int:

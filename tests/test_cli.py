@@ -170,6 +170,32 @@ def test_attn_demo_strategy_swap_keeps_states(tmp_path, capsys):
     assert summary["retrievals_differ"]
 
 
+def test_attn_demo_caches_only_its_kernel_bank(tmp_path, capsys):
+    # R costs under a millisecond to build, so only build-banks writes EMRB files
+    code, _, _ = run_cli(
+        ["attn-demo", "--cache-dir", str(tmp_path),
+         "--train-strategy", "uniform", "--eval-strategy", "exponential"], capsys)
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["kernel_N16_L8_zoh_B4.emkb"]
+
+
+def test_attn_demo_finishes_when_its_cache_write_fails(tmp_path, capsys):
+    _, cold, _ = run_cli(["attn-demo", "--cache-dir", str(tmp_path / "cold")], capsys)
+    blocked = tmp_path / "blocked"
+    (blocked / "kernel_N16_L8_zoh_B4.emkb").mkdir(parents=True)
+    code, out, err = run_cli(["attn-demo", "--cache-dir", str(blocked)], capsys)
+    assert (code, out) == (0, cold)
+    warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1, err
+    assert warnings[0].startswith("warning: kernel bank not cached: ")
+    # writing the bank is build-banks' job, so there the same failure is an error
+    code, out, err = run_cli(["build-banks", "--order", "16", "--block-length", "8",
+                              "--max-blocks", "4", "--cache-dir", str(blocked)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert [p.name for p in blocked.iterdir()] == ["kernel_N16_L8_zoh_B4.emkb"]
+
+
 def test_attn_demo_has_no_strategy_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["attn-demo", "--blocks", "1", "--strategy", "uniform", "--cache-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Sampling strategies, reconstruction banks, and retrieval."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,6 +214,30 @@ def test_bank_rejects_matrices_that_are_not_3d():
             ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=bad)
     bank = ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=recon[None])
     assert (bank.max_blocks, bank.mem_length, bank.order) == (1, 4, 6)
+
+
+def test_bank_rejects_entries_that_differ():
+    # retrieve reads entry 0 at every horizon, so [I, 2I] would serve I where
+    # a 2-block state of ones meant 2I
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="same R"):
+        ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=np.stack([eye, 2 * eye]))
+    bank = ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=np.stack([eye, eye]))
+    assert bank.max_blocks == 2
+
+
+def test_bank_compares_no_stride_zero_entries():
+    # a broadcast view is one R by construction: comparing its entries would
+    # allocate a (4095, 16, 32) boolean array, 2 MB
+    recon = basis_matrix(sample_points(UNIFORM, 1.0, 16), 1.0, 32)
+    view = np.broadcast_to(recon, (4096, 16, 32))
+    tracemalloc.start()
+    try:
+        ReconstructionBank(block_length=8, strategy=UNIFORM, matrices=view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < recon.nbytes, peak
 
 
 def test_constant_history_retrieves_constant_everywhere():

@@ -26,7 +26,7 @@ from hippomem import (
     forward_block,
     zero_state,
 )
-from hippomem import attention, block_kernel, discretization
+from hippomem import attention, block_kernel, cli, discretization
 from hippomem.attention import init_weights
 from hippomem.bank_cache import write_kernel_bank
 from hippomem.block_kernel import BlockKernelBank
@@ -166,6 +166,32 @@ def test_zoh_kernel_fills_its_columns_in_chunks():
     # arrays (the Legendre table and its differences): a peak of 405 MB
     kernel, peak = traced_peak(lambda: history_kernel(build_operator(128), 131072, Scheme.ZOH))
     assert peak <= 1.2 * kernel.nbytes, (peak, kernel.nbytes)
+
+
+def test_compress_reconstructs_the_full_grid_in_row_chunks(tmp_path, monkeypatch, capsys):
+    # the whole 32768 x 128 basis holds its Legendre table and that table's
+    # transposed copy at once (67 MB); by row chunks the phase after the
+    # kernel holds about two chunk-sized tables (10 MB). Neither the read nor
+    # the kernel is traced.
+    length, order = 32768, 128
+    signal = tmp_path / "sig.txt"
+    signal.write_text("".join(f"{math.sin(0.0005 * i):.6f} {math.cos(0.0003 * i):.6f}\n"
+                              for i in range(length)))
+
+    def kernel_then_trace(*args):
+        kernel = history_kernel(*args)
+        tracemalloc.start()
+        return kernel
+
+    monkeypatch.setattr(cli, "history_kernel", kernel_then_trace)
+    try:
+        assert cli.main(["compress", str(signal), "--order", str(order)]) == 0
+        assert tracemalloc.is_tracing()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = order * _GROUP_POINTS * 8
+    assert peak <= 3 * chunk, (peak, chunk)
 
 
 def small_attention(max_blocks):
