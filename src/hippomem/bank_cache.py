@@ -20,12 +20,11 @@ skip the N^3-scale precomputation:
 A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
-so that files written by older code are rebuilt rather than read (version 8:
-backward Euler and bilinear banks solved by one cumulative sum per state
-row). A writer streams each array's own buffer into the file and its
-checksum, and a read bank's arrays are read-only views into the file's
-bytes, so neither copies the payload; the 40-byte header keeps it 8-byte
-aligned.
+so that files written by older code are rebuilt rather than read (version 9:
+ZOH transitions by the Legendre dilation recurrence). A writer streams each
+array's own buffer into the file and its checksum, and a read bank's arrays
+are read-only views into the file's bytes, so neither copies the payload;
+the 40-byte header keeps it 8-byte aligned.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 8
+_VERSION = 9
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 
@@ -180,10 +179,10 @@ def read_reconstruction_bank(path: str) -> ReconstructionBank:
 
 def _load_or_build(path: str, read, write, build, **expected):
     """(bank, path, cache_hit): the bank in path if it reads and has the
-    expected attribute values, else a fresh build, written to path. Callers
+    expected attribute values, else a fresh build, written to path; an
+    OSError from that write carries the built bank as `exc.bank`. Callers
     pass read_* and write_* as looked up at their own call time, so wrappers
     patched over those module attributes see every file access."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     if os.path.exists(path):
         try:
             bank = read(path)
@@ -192,7 +191,12 @@ def _load_or_build(path: str, read, write, build, **expected):
         except CacheError:
             pass
     bank = build()
-    write(path, bank)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write(path, bank)
+    except OSError as exc:
+        exc.bank = bank
+        raise
     return bank, path, False
 
 

@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import _PANEL_ROWS, MemoryState, Scheme, _check_finite, _fill_bank
+from .discretization import MemoryState, Scheme, _check_finite, _fill_bank
 from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
+
+# Rows per panel of `block_update`'s P_i C, read up to the panel's diagonal block.
+_PANEL_ROWS = 32
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .bank_cache import (
     load_or_build_kernel_bank,
     load_or_build_reconstruction_bank,
 )
-from .block_kernel import build_bank
 from .discretization import _GROUP_POINTS, Scheme, history_kernel, zero_state
 from .operators import basis_matrix, build_operator
 from .reconstruction import (
@@ -269,7 +268,7 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     except OSError as exc:
         # unlike build-banks, the demo needs the bank, not the file
         print(f"warning: kernel bank not cached: {exc}", file=sys.stderr)
-        kernel_bank = build_bank(op, cfg.block_length, cfg.scheme, args.blocks)
+        kernel_bank = exc.bank
     banks = {strat: build_reconstruction_bank(op, strat, cfg.mem_length, cfg.block_length,
                                               args.blocks) if cfg.mem_length else None
              for strat in {train_strategy, eval_strategy}}

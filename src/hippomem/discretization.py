@@ -14,9 +14,9 @@ and `history_kernel` use.
 
 The construction's quantities each have one function: the Legendre table
 (`operators.legendre_table`), the segment coefficients r**A e0 in closed
-form (`segment_coefficients`) and the matrix power r**A by quadrature
-(`transition_power`). Steps, kernels and banks take them from there only,
-so each is computed, and can be timed, in one place.
+form (`segment_coefficients`) and the matrix power r**A by a recurrence
+over its rows (`transition_power`). Steps, kernels and banks take them from
+there only, so each is computed, and can be timed, in one place.
 
 Under every scheme Bbar_k = (I - Abar_k) e0, because A e0 = B, and the
 Abar_k are rational functions of A, so they commute. A whole-history kernel
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -128,60 +127,60 @@ def zero_state(order: int, channels: int) -> MemoryState:
     return MemoryState(np.zeros((order, channels)))
 
 
-@lru_cache(maxsize=32)
-def _gauss_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order + 2)-point Gauss-Legendre nodes y_q and weights, and P_m(y_q):
-    at x = r (y_q + 1) / 2, g_m on [0, r] is sqrt(2m+1) P_m(y_q) for every r."""
-    nodes, weights = np.polynomial.legendre.leggauss(order + 2)
-    # (nodes, order) in C order: matmul bits depend on operand layout
-    inner = legendre_table(nodes, order).T.copy()
-    return _freeze(nodes), _freeze(weights), _freeze(inner)
-
-
-def transition_power(op: HippoOperator, ratio: float | np.ndarray) -> np.ndarray:
+def transition_power(
+    op: HippoOperator, ratio: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The matrix power ratio**A for the lower-triangular operator A.
 
     A scalar ratio gives one N x N matrix, an array of ratios one per ratio
-    (shape ratios.shape + (N, N)), each with the bits of its scalar call.
-    Functionally, ratio**A re-expands projection coefficients from horizon t
-    to horizon t/ratio with nothing appended, so entry (n, m) is the inner
-    product of the zero-extended basis function g_m (on [0, ratio]) with g_n
-    (on [0, 1]). The integrand is a polynomial of degree < 2N, so Gauss-
-    Legendre quadrature evaluates it exactly with N nodes; `_gauss_table`
-    takes N+2. This stays stable at large N, unlike substitution recurrences
-    or diagonalization, whose intermediates grow combinatorially for this
-    matrix family. The inner factor comes from the per-order `_gauss_table`,
-    so only the outer one, g_n on the unit horizon at x = r (y_q + 1) / 2,
-    takes a `legendre_table` call; stacked matmuls fold every ratio's
-    weighted outer table with the inner table, and s s^T (s = B) scales the
-    result. The result is exactly lower triangular, as A is: the matmuls
-    form it in row panels of `_PANEL_ROWS` that stop at the diagonal block,
-    whose strict upper triangle is then set to 0, so no quadrature noise is
-    left above the diagonal. The diagonal is pinned to its exact value
-    ratio**(n+1); ratio 0 gives exact zeros and ratio 1 the identity.
+    (shape ratios.shape + (N, N)), each with the bits of its scalar call;
+    `out`, an array of that shape, takes the result in place.
+    r**A re-expands projection coefficients from horizon t to t/r with
+    nothing appended: entry (n, k) is r times the coefficient of g_k(u) in
+    the dilated g_n(r u). Bonnet's recurrence for P_n(r v + r - 1) and
+    v P_k(v) = ((k+1) P_{k+1}(v) + k P_{k-1}(v)) / (2k+1) give each row from
+    the two above it, with s_n = sqrt(2n+1), gamma_k = k / (s_{k-1} s_k),
+    alpha_n = s_n s_{n+1} / (n+1) and beta_n = n s_{n+1} / ((n+1) s_{n-1}):
+      P[n+1, k] = alpha_n (r (gamma_k P[n, k-1] + P[n, k] + gamma_{k+1} P[n, k+1])
+                           - P[n, k]) - beta_n P[n-1, k]
+    from P[0, 0] = r. Row n has columns 0..n only, so the result is exactly
+    lower triangular. Each row is a few elementwise operations over all
+    ratios at once, with no GEMM, so the bits do not depend on the BLAS
+    kernel; the rows stay bounded, as P_n is on [-1, 1]. The diagonal is
+    pinned to r**(n+1); ratio 0 gives exact zeros and ratio 1 the identity.
     """
     ratios = np.asarray(ratio, dtype=float)
     if ratios.size and not (0.0 <= ratios.min() and ratios.max() <= 1.0):
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     n = op.order
-    nodes, weights, inner = _gauss_table(n)
-    r = ratios.reshape(-1, 1)
-    # (ratios x nodes, n) in C order: matmul bits depend on operand layout
-    outer = legendre_table(r * (nodes + 1.0) - 1.0, n).T.copy().reshape(r.size, nodes.size, n)
-    outer *= (weights * r / 2.0)[:, :, None]
-    outer_t = outer.transpose(0, 2, 1)
-    power = np.zeros((r.size, n, n))
-    above = np.triu(np.ones((_PANEL_ROWS, _PANEL_ROWS), dtype=bool), 1)
-    for top in range(0, n, _PANEL_ROWS):
-        end = min(top + _PANEL_ROWS, n)
-        np.matmul(outer_t[:, top:end], inner[:, :end], out=power[:, top:end, :end])
-        np.copyto(power[:, top:end, top:end], 0.0, where=above[:end - top, :end - top])
-    power *= np.outer(op.b_vector, op.b_vector)
-    diag = np.arange(n)
-    power[:, diag, diag] = r ** (diag + 1.0)
-    power[r[:, 0] == 0.0] = 0.0
-    power[r[:, 0] == 1.0] = np.eye(n)
-    return power.reshape(ratios.shape + (n, n))
+    power = np.empty(ratios.shape + (n, n)) if out is None else out
+    if power.shape != ratios.shape + (n, n):
+        raise ValueError(f"out has shape {power.shape}, not {ratios.shape + (n, n)}")
+    r = ratios.ravel()
+    s = np.sqrt(2.0 * np.arange(n) + 1.0)
+    # work row j holds column k = j - 1 for every ratio; row 0, k = -1, stays 0
+    gamma = np.r_[0.0, 0.0, np.arange(1.0, n) / (s[:-1] * s[1:])][:, None]
+    # one row per ratio, as in a scalar call: pow's bits depend on its operands' layout
+    diagonal = r[:, None] ** np.arange(1.0, n + 1)
+    prev, cur, nxt, tmp = np.zeros((4, n + 1, r.size))
+    for row in range(n):
+        if row:  # columns 0 .. row - 1 from rows row - 1 (cur) and row - 2 (prev)
+            t, u = nxt[1:row + 1], tmp[1:row + 1]
+            np.multiply(gamma[1:row + 1], cur[:row], out=t)
+            np.multiply(gamma[2:row + 2], cur[2:row + 2], out=u)
+            t += u
+            # r P - P, not (r - 1) P: r - 1 rounds for r < 1/2, alike in every row
+            t += cur[1:row + 1]
+            t *= r
+            t -= cur[1:row + 1]
+            t *= s[row - 1] * s[row] / row
+            np.multiply((row - 1) * s[row] / (row * s[row - 2]), prev[1:row + 1], out=u)
+            t -= u
+            prev, cur, nxt = cur, nxt, prev
+        cur[row + 1] = diagonal[:, row]
+        power[..., row, :] = cur[1:].T.reshape(ratios.shape + (n,))
+    power[ratios == 1.0] = np.eye(n)
+    return power
 
 
 def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
@@ -283,17 +282,11 @@ def sequential_update(
     return MemoryState(coeffs, blocks_absorbed=state.blocks_absorbed)
 
 
-# Rows per panel of a product whose result (`transition_power`) or left
-# factor (`block_kernel.block_update`) is lower triangular: panel rows
-# [top, top + PANEL) meet columns [0, top + PANEL) only, so nothing right of
-# the panel's diagonal block is formed or read.
-_PANEL_ROWS = 32
-
 # Points per block group in `_fill_bank`, per column chunk of a ZOH
 # `history_kernel`, and per row chunk of the CLI's full-grid basis in
-# `compress`. Each node table, segment table or row-solve array holds
-# GROUP x N floats (4 MB at N = 128); a larger group adds to peak RSS and
-# saves only per-degree or per-row call overhead.
+# `compress`. Each segment table or row-solve array holds GROUP x N floats
+# at most (4 MB at N = 128); a larger group adds to peak RSS and saves only
+# per-degree or per-row call overhead.
 _GROUP_POINTS = 4096
 
 
@@ -310,29 +303,30 @@ def _fill_bank(
     column j of K_i is the product of the block's step matrices above its
     step j times that step's input vector.
 
-    Consecutive blocks go in groups of about `_GROUP_POINTS` points: N + 2
-    quadrature nodes or L + 1 segment ends or steps per block, whichever is
-    more. Each group fills its slice of the caller's arrays with the bits of
-    one-block calls. For ZOH the products telescope into one matrix power
-    per block and consecutive differences of `segment_coefficients`, so a
-    group takes one `transition_power` and one `segment_coefficients` call:
-    the two Legendre recurrences run once per group, and the inner node
-    table once per order. The other schemes' groups hand their blocks' steps
-    to one `_fold_steps` (forward Euler) or `_scan_kernel` call (backward
-    Euler and bilinear: one cumulative sum per state row, with segments cut
-    from the group's first step only, so a block's bits are those of its
-    one-block call there too). Groups stay
-    small because their arrays add directly to peak RSS: all 256 blocks of
-    an N = 128 ZOH bank at once would take two 34 MB tables.
+    For ZOH the products telescope into one matrix power per block and
+    consecutive differences of `segment_coefficients`. One `transition_power`
+    call forms every P_i in place; its work arrays hold four rows of N + 1
+    floats per block, so they need no groups. The rest goes in groups of consecutive
+    blocks of about `_GROUP_POINTS` points, L + 1 segment ends or steps per
+    block or N + 2 if more, which bounds each group array by about
+    GROUP x min(N, L) floats. A ZOH group takes one `segment_coefficients`
+    call; the other schemes' groups one `_fold_steps` (forward Euler) or
+    `_scan_kernel` call (backward Euler and bilinear: one cumulative sum per
+    state row, with segments cut from the group's first step only). Each
+    group fills its slice of the caller's arrays with the bits of one-block
+    calls. Groups keep the peak RSS down: all 256 blocks of an N = 128 ZOH
+    bank at once would take two 34 MB segment tables.
     """
     blocks, n, ell = kernels.shape
+    if scheme is Scheme.ZOH:
+        start = np.arange(blocks) * ell + 1
+        transition_power(op, start / (start + ell), out=transitions)
     group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
     for first in range(0, blocks, group):
         last = min(blocks, first + group)
         start = np.arange(first, last) * ell + 1
         if scheme is Scheme.ZOH:
             horizon = start + ell
-            transitions[first:last] = transition_power(op, start / horizon)
             points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
             seg = segment_coefficients(op, points).reshape(n, last - first, ell + 1)
             out = kernels[first:last].transpose(1, 0, 2)

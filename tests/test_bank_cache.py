@@ -206,7 +206,7 @@ def _rewrite_header(path, fmt, offset, value):
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
-        for version in (1, 2, 3, 4, 5, 6, 7):
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
             # an intact file of an older version: only the version check can reject it
             _rewrite_header(path, "<I", _VERSION_AT, version)
             _, _, hit = _load_or_build(tmp_path, strategy)
@@ -350,3 +350,36 @@ def test_concurrent_builders_of_one_bank_agree(tmp_path):
     path = tmp_path / "kernel_N32_L64_bilinear_B12.emkb"
     assert os.listdir(tmp_path) == [path.name]      # no temp file left
     assert _bank_digest(read_kernel_bank(str(path))) == _bank_digest(want)
+
+
+_CORE_WORKER = """
+import hashlib, sys
+import numpy as np
+from hippomem import Scheme, build_bank, build_operator
+from hippomem.bank_cache import write_kernel_bank
+x = np.linspace(-1.0, 1.0, 130 * 128).reshape(130, 128)
+print(hashlib.sha256((x.T @ np.cos(x)).tobytes()).hexdigest(), flush=True)
+write_kernel_bank(sys.argv[1], build_bank(build_operator(128), 64, Scheme.ZOH, 40))
+"""
+
+
+def test_zoh_bank_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the bank `build-banks --scheme zoh --order 128 --max-blocks 40` writes,
+    # built under two OpenBLAS core types; a GEMM's bits tell whether the two
+    # really run different kernels
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    files, gemms = [], []
+    for core in ("Haswell", "SandyBridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"{core}.emkb"
+        proc = subprocess.run([sys.executable, "-c", _CORE_WORKER, str(path)],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode < 0:  # a signal: this CPU cannot run that kernel
+            pytest.skip(f"the {core} kernel does not run here")
+        assert proc.returncode == 0, proc.stderr
+        gemms.append(proc.stdout)
+        files.append(path.read_bytes())
+    if gemms[0] == gemms[1]:
+        pytest.skip("only one BLAS kernel is offered here")
+    assert files[0] == files[1]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hippomem import bank_cache, block_kernel, cli
 from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
 from hippomem.cli import main
 
@@ -179,15 +180,28 @@ def test_attn_demo_caches_only_its_kernel_bank(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["kernel_N16_L8_zoh_B4.emkb"]
 
 
-def test_attn_demo_finishes_when_its_cache_write_fails(tmp_path, capsys):
+def test_attn_demo_finishes_when_its_cache_write_fails(tmp_path, capsys, monkeypatch):
     _, cold, _ = run_cli(["attn-demo", "--cache-dir", str(tmp_path / "cold")], capsys)
     blocked = tmp_path / "blocked"
     (blocked / "kernel_N16_L8_zoh_B4.emkb").mkdir(parents=True)
+    # the bank built for the failed write is the one the demo runs on
+    builds = []
+    real = block_kernel.build_bank
+    for module in (block_kernel, bank_cache, cli):
+        monkeypatch.setattr(module, "build_bank",
+                            lambda *args: builds.append(args) or real(*args), raising=False)
     code, out, err = run_cli(["attn-demo", "--cache-dir", str(blocked)], capsys)
     assert (code, out) == (0, cold)
+    assert len(builds) == 1
     warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
     assert len(warnings) == 1, err
     assert warnings[0].startswith("warning: kernel bank not cached: ")
+    # so does a cache directory that cannot be made, here a regular file
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(["attn-demo", "--cache-dir", str(not_a_dir)], capsys)
+    assert (code, out, len(builds)) == (0, cold, 2)
+    assert err.count("warning: kernel bank not cached: ") == 1, err
     # writing the bank is build-banks' job, so there the same failure is an error
     code, out, err = run_cli(["build-banks", "--order", "16", "--block-length", "8",
                               "--max-blocks", "4", "--cache-dir", str(blocked)], capsys)

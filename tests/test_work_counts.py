@@ -94,10 +94,12 @@ def test_bilinear_kernel_is_one_scan(monkeypatch, order, length):
     (2, 5000, 3),     # L + 1 > _GROUP_POINTS: one block per group
 ])
 def test_zoh_bank_makes_one_matrix_power_call_per_group(monkeypatch, order, block_length, blocks):
+    # the transitions take one group, the whole bank: one matrix power call;
+    # the kernels take one segment table per group of blocks
     group = max(1, _GROUP_POINTS // max(order + 2, block_length + 1))
-    calls = count_calls(monkeypatch, discretization, "transition_power")
+    calls = count_calls(monkeypatch, discretization, "transition_power", "segment_coefficients")
     build_bank(build_operator(order), block_length, Scheme.ZOH, blocks)
-    assert calls["transition_power"] == math.ceil(blocks / group)
+    assert calls == Counter(transition_power=1, segment_coefficients=math.ceil(blocks / group))
 
 
 STEP_BANK_SHAPES = pytest.mark.parametrize("order, block_length, blocks", [
@@ -152,6 +154,17 @@ def traced_peak(build):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def test_zoh_bank_transitions_are_formed_in_place():
+    # the stream benchmark's bank (50.3 MB): one transition_power call writes
+    # the P_i into the bank's own array, beside its work arrays (1 MB) and one
+    # group's segment tables (about 6 MB); a (B, N, N)
+    # temporary would add 33.6 MB. Measured 6.3 MB over the bank; P_i by a
+    # Gauss-Legendre quadrature per group of blocks held 10.5 MB.
+    bank, peak = traced_peak(lambda: build_bank(build_operator(128), 64, Scheme.ZOH, 256))
+    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    assert peak - payload <= 8e6, (peak, payload)
 
 
 def test_bilinear_kernel_holds_little_beside_the_kernel():
