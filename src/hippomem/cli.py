@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -59,14 +60,16 @@ def _read_columns(path: str) -> np.ndarray:
     """Numeric text file: whitespace/comma delimited columns, '#' comments."""
     rows: list[list[float]] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first value
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
                 if not body:
                     continue
                 parts = body.replace(",", " ").split()
                 try:
-                    row = [float(p) for p in parts]
+                    # separators alone hold no value; float() rejects the body whole
+                    row = [float(p) for p in parts or [body]]
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: not numeric: {body!r}") from exc
                 # float() accepts nan and inf, which would compress to a NaN MSE
@@ -81,19 +84,6 @@ def _read_columns(path: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise UsageError(f"{path}: ragged rows (expected {width} columns everywhere)")
     return np.asarray(rows, dtype=float)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _format_table(xs: np.ndarray, values: np.ndarray, header: str) -> str:
-    lines = [header]
-    for x, row in zip(xs, values):
-        cells = " ".join(f"{v:.12e}" for v in row)
-        lines.append(f"{x:.12e} {cells}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- build-banks
@@ -152,15 +142,15 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     pts = sample_points(strategy, float(length), mem_length)
     summary_rows = basis_matrix(pts, float(length), args.order) @ state
 
-    chan_header = " ".join(f"ch{i}" for i in range(channels))
-    if args.out:
-        _write_text(args.out, _format_table(
-            pts, summary_rows, f"# x {chan_header}"))
-        print(f"wrote {mem_length} reconstruction rows to {args.out}")
-    if args.full_out:
-        _write_text(args.full_out, _format_table(
-            grid, full, f"# x {chan_header}"))
-        print(f"wrote full-grid reconstruction to {args.full_out}")
+    for path, xs, values, note in (
+            (args.out, pts, summary_rows, f"wrote {mem_length} reconstruction rows"),
+            (args.full_out, grid, full, "wrote full-grid reconstruction")):
+        if path:
+            # a file, not a path: numpy's datasource would gzip a *.gz name
+            with open(path, "w", encoding="utf-8") as fh:
+                np.savetxt(fh, np.column_stack([xs, values]), fmt="%.12e", comments="",
+                           header="# x " + " ".join(f"ch{i}" for i in range(channels)))
+            print(f"{note} to {path}")
     print(f"MSE {mse:.10e}")
     _summary({
         "cmd": "compress",
@@ -183,7 +173,7 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 
     report = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
     if args.out:
-        _write_text(args.out, report)
+        Path(args.out).write_text(report, encoding="utf-8")
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(report, end="")
@@ -319,7 +309,7 @@ def _cmd_attn_demo(args: argparse.Namespace) -> int:
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if args.out:
-        _write_text(args.out, report)
+        Path(args.out).write_text(report, encoding="utf-8")
 
     passed = all(checks.values())
     _summary({
@@ -374,7 +364,7 @@ def _load_config(path: str) -> dict[str, str]:
     """key = value lines as subparser defaults; dashes in keys become underscores."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
                 if not body:

@@ -648,7 +648,9 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
       ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form,
       differenced straight from its rows, `_GROUP_POINTS` columns at a
       time: each column needs only its own two points, so the chunks keep
-      the bits of one table and the peak near the kernel's own size.
+      the bits of one table. The peak is the kernel plus one chunk's
+      Legendre table and segment coefficients, (2N+1)(G+1) floats with
+      G = `_GROUP_POINTS` (8.4 MB at N = 128).
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
       Bilinear, and forward Euler below that size: a one-block bank over
@@ -670,6 +672,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
             hi = min(lo + _GROUP_POINTS, length)
             seg = segment_coefficients(op, np.arange(lo, hi + 1) / length)
             np.subtract(seg[:, 1:], seg[:, :-1], out=kernel[:, lo:hi])
+            del seg  # else it lives on beside the next chunk's table and output
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
         # steps 1 .. T-1; P keeps column 0, P e0, the exact first-sample absorption
         _fill_bank(op, scheme, kernel[None, :, :1], kernel[None, :, 1:])

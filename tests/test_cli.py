@@ -9,9 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hippomem import bank_cache, block_kernel, cli
-from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
+from hippomem import (
+    SamplingStrategy,
+    Scheme,
+    bank_cache,
+    basis_matrix,
+    block_kernel,
+    build_operator,
+    cli,
+    history_kernel,
+)
 from hippomem.cli import main
+from hippomem.discretization import _GROUP_POINTS
+from hippomem.reconstruction import DEFAULT_DECAY, sample_points
+from hippomem.signal_bench import SignalKind, SignalSpec, generate_signal
 
 
 def run_cli(argv, capsys):
@@ -115,6 +126,70 @@ def test_compress_rejects_empty_and_malformed(tmp_path, capsys):
     ragged.write_text("1.0 2.0\n3.0\n")
     code, _, err = run_cli(["compress", str(ragged)], capsys)
     assert code == 2 and "ragged" in err
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (",\n,\n,\n", 1),
+    ("1.0\n,\n2.0\n", 2),
+    (" , ,\n1.0\n2.0\n", 1),
+])
+def test_compress_rejects_rows_of_separators_only(tmp_path, capsys, text, lineno):
+    # such a row holds no value: read as an empty row, a file of them
+    # compressed as zero channels to a NaN MSE that read as a pass
+    sig = tmp_path / "sig.txt"
+    sig.write_text(text)
+    code, out, err = run_cli(["compress", str(sig)], capsys)
+    assert code == 2 and out == ""
+    assert f"{sig}:{lineno}: not numeric: " in err, err
+
+
+def test_compress_accepts_a_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1.0 2.0\n0.5 1.5\n0.25 1.0\n")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, expected, _ = run_cli(["compress", str(plain), "--order", "4"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["compress", str(marked), "--order", "4"], capsys)
+    assert (code, out) == (0, expected), err
+
+
+def test_compress_tables_render_each_value_with_12_digits(tmp_path, capsys):
+    # past one row chunk, with values of every exponent width
+    length, order = 5000, 32
+    t = np.arange(length)
+    data = np.column_stack([np.sin(0.01 * t), 1e-300 * np.cos(0.003 * t),
+                            1e150 * (t % 7 - 3.0)])
+    sig = tmp_path / "sig.txt"
+    sig.write_text("".join(" ".join(map(repr, row)) + "\n" for row in data.tolist()))
+    out_path, full_path = tmp_path / "out.txt", tmp_path / "full.txt"
+    code, _, err = run_cli(["compress", str(sig), "--order", str(order),
+                            "--out", str(out_path), "--full-out", str(full_path)], capsys)
+    assert code == 0, err
+
+    state = history_kernel(build_operator(order), length, Scheme.ZOH) @ data
+    grid = np.arange(length, dtype=float)
+    full = np.concatenate([basis_matrix(grid[lo:lo + _GROUP_POINTS], float(length), order) @ state
+                           for lo in range(0, length, _GROUP_POINTS)])
+    pts = sample_points(SamplingStrategy("uniform", DEFAULT_DECAY), float(length), 64)
+    points = basis_matrix(pts, float(length), order) @ state
+
+    def rendered(xs, values):
+        rows = [f"{x:.12e} " + " ".join(f"{v:.12e}" for v in row)
+                for x, row in zip(xs, values)]
+        return ("\n".join(["# x ch0 ch1 ch2"] + rows) + "\n").encode("utf-8")
+
+    assert out_path.read_bytes() == rendered(pts, points)
+    assert full_path.read_bytes() == rendered(grid, full)
+
+
+def test_compress_writes_plain_text_to_a_gz_name(tmp_path, capsys):
+    (tmp_path / "sig.txt").write_text("0.5\n1.0\n0.25\n")
+    out_path = tmp_path / "r.txt.gz"
+    code, _, err = run_cli(["compress", str(tmp_path / "sig.txt"), "--order", "4",
+                            "--out", str(out_path)], capsys)
+    assert code == 0, err
+    assert out_path.read_bytes().startswith(b"# x ch0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -308,6 +383,15 @@ def test_empty_cache_dir_is_usage_error(tmp_path, capsys, monkeypatch, command, 
     assert exc.value.code == 2 and captured.out == ""
     assert "--cache-dir: must not be empty" in captured.err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_accepts_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("\ufefforder = 6\nmax_blocks = 1\n".encode("utf-8"))
+    code, out, err = run_cli(["--config", str(cfg), "build-banks", "--block-length", "4",
+                              "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert "N=6 L=4" in out
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -181,6 +181,17 @@ def test_zoh_kernel_fills_its_columns_in_chunks():
     assert peak <= 1.2 * kernel.nbytes, (peak, kernel.nbytes)
 
 
+def test_zoh_kernel_holds_one_chunk_beside_the_kernel():
+    # past one chunk the peak is the kernel plus one chunk's Legendre table and
+    # segment coefficients, about (N+1)(G+1) floats each (4.2 MB here): measured
+    # 8.46 MB over the kernel. Keeping the last chunk's coefficients alive while
+    # the next chunk's were built held three such tables, 12.66 MB.
+    order = 128
+    kernel, peak = traced_peak(lambda: history_kernel(build_operator(order), 8192, Scheme.ZOH))
+    table = (order + 1) * (_GROUP_POINTS + 1) * 8
+    assert peak - kernel.nbytes <= 2.5 * table, (peak, kernel.nbytes, table)
+
+
 def test_compress_reconstructs_the_full_grid_in_row_chunks(tmp_path, monkeypatch, capsys):
     # the whole 32768 x 128 basis holds its Legendre table and that table's
     # transposed copy at once (67 MB); by row chunks the phase after the
