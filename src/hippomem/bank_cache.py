@@ -12,8 +12,10 @@ skip the N^3-scale precomputation:
     mem_length u32      0 for EMKB
     decay      f64      0.0 for EMKB; the strategy's decay for EMRB
     checksum   u32      crc32 of the fields above, then the payload
-    payload    row-major f64 matrices in index order
-               EMKB: all P_i, then all K_i
+    payload    row-major f64 arrays in index order
+               EMKB: each P_i's row panels, as `BlockKernelBank.panels`
+                     holds them (W floats per block, 9216 at N = 128),
+                     then all K_i
                EMRB: the one reconstruction matrix R, which every
                      history length shares
 
@@ -21,10 +23,11 @@ A corrupt or mismatched file is rebuilt, never trusted. The checksum covers
 the header fields too, so a damaged field reads as a CacheError. Bump
 `version` whenever the layout or the output bits of any bank builder change,
 so that files written by older code are rebuilt rather than read (version 9:
-ZOH transitions by the Legendre dilation recurrence). A writer streams each
-array's own buffer into the file and its checksum, and a read bank's arrays
-are read-only views into the file's bytes, so neither copies the payload;
-the 40-byte header keeps it 8-byte aligned.
+ZOH transitions by the Legendre dilation recurrence; version 10: P_i as row
+panels, so a 256-block N = 128 ZOH file holds 35.7 MB, not 50.3 MB). A
+writer streams each array's own buffer into the file and its checksum, and
+a read bank's arrays are read-only views into the file's bytes, so neither
+copies the payload; the 40-byte header keeps it 8-byte aligned.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import zlib
 
 import numpy as np
 
-from .block_kernel import BlockKernelBank, build_bank
+from .block_kernel import BlockKernelBank, _panel_width, build_bank
 from .discretization import Scheme
 from .operators import HippoOperator
 from .reconstruction import (
@@ -59,7 +62,7 @@ __all__ = [
 
 _MAGIC_KERNEL = b"EMKB"
 _MAGIC_RECON = b"EMRB"
-_VERSION = 9
+_VERSION = 10
 _FIELDS = struct.Struct("<4sIIIIIId")
 _CHECKSUM = struct.Struct("<I")
 
@@ -136,7 +139,7 @@ def write_kernel_bank(path: str, bank: BlockKernelBank) -> int:
     """Serialize a kernel bank; returns bytes written."""
     return _write(path, _MAGIC_KERNEL, bank.order, bank.block_length,
                   _SCHEME_TAGS[bank.scheme], bank.max_blocks, 0, 0.0,
-                  [bank.transitions, bank.kernels])
+                  [bank.panels, bank.kernels])
 
 
 def read_kernel_bank(path: str) -> BlockKernelBank:
@@ -144,13 +147,14 @@ def read_kernel_bank(path: str) -> BlockKernelBank:
     _, _, order, block_length, tag, max_blocks, _, _ = fields
     if tag not in _SCHEME_FROM_TAG:
         raise CacheError(f"cache file {path} has unknown scheme tag {tag}")
-    n_trans = max_blocks * order * order
+    width = _panel_width(order)
+    n_trans = max_blocks * width
     n_kern = max_blocks * order * block_length
     if flat.size != n_trans + n_kern:
         raise CacheError(f"cache file {path} payload size mismatch")
     return _from_header(path, lambda: BlockKernelBank(
         scheme=_SCHEME_FROM_TAG[tag],
-        transitions=flat[:n_trans].reshape(max_blocks, order, order),
+        panels=flat[:n_trans].reshape(max_blocks, width),
         kernels=flat[n_trans:].reshape(max_blocks, order, block_length),
     ))
 

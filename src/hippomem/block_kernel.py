@@ -6,8 +6,8 @@ matrices in block i and column j of K_i is the product of the step matrices
 above position j times that step's input vector. Both depend on the absolute
 block position i because the ODE is time-varying, so they are precomputed
 once per position and cached in a bank. A is lower triangular, so every P_i
-is too, exactly: a bank holds zeros above the diagonal, and `block_update`
-skips them.
+is too, exactly: a bank stores each P_i as row panels that stop at their
+diagonal block, which is all that `block_update` reads.
 
 Block i (1-based) covers steps k = (i-1)L+1 .. iL.
 """
@@ -15,6 +15,7 @@ Block i (1-based) covers steps k = (i-1)L+1 .. iL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,40 +24,83 @@ from .operators import HippoOperator, _as_index, _freeze
 
 __all__ = ["BlockKernelBank", "build_bank", "block_update"]
 
-# Rows per panel of `block_update`'s P_i C, read up to the panel's diagonal block.
-_PANEL_ROWS = 32
+# Rows per stored panel of P_i.
+_PANEL_ROWS = 16
+
+
+def _panel_rows(order: int) -> list[tuple[int, int]]:
+    """Row ranges [r0, r1) of P_i's panels, `_PANEL_ROWS` rows each. A
+    one-row last panel joins the panel above it: numpy forms a one-row
+    product as a matrix-vector product, which does not sum in the full
+    product's order. So N <= 17 is one panel."""
+    ends = [*range(_PANEL_ROWS, order - 1, _PANEL_ROWS), order]
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def _panel_width(order: int) -> int:
+    """Floats per block of a bank's panels: 9216 at N = 128, not N^2 = 16384."""
+    return sum((r1 - r0) * r1 for r0, r1 in _panel_rows(order))
+
+
+def _panels(flat: np.ndarray, order: int) -> list[tuple[int, int, np.ndarray]]:
+    """(r0, r1, panel) for each panel in flat (..., W), the panel a
+    (..., r1 - r0, r1) view of rows r0 .. r1-1 of P_i over columns 0 .. r1-1."""
+    panels, at = [], 0
+    for r0, r1 in _panel_rows(order):
+        size = (r1 - r0) * r1
+        panels.append((r0, r1, flat[..., at:at + size].reshape(flat.shape[:-1] + (r1 - r0, r1))))
+        at += size
+    return panels
 
 
 @dataclass(frozen=True)
 class BlockKernelBank:
     """Per-position transition matrices P_i and input kernels K_i.
 
-    transitions[i-1] is the N x N product of step matrices for block i;
-    kernels[i-1] is the N x L operator folding block i's inputs into the
-    state. Immutable; share freely across concurrent sequence processors.
-    The order, block length and block count are those of the arrays, which
-    must be (B, N, N) and (B, N, L). Every P_i must be lower triangular,
-    with exact zeros above the diagonal, because `block_update` never reads
-    them. A bank of any other shape or with any other entry there, or of an
-    unknown scheme, raises ValueError; a scheme may be given by name.
+    P_i is the N x N product of step matrices for block i, and
+    kernels[i-1] the N x L operator folding block i's inputs into the
+    state. panels[i-1] holds P_i's row panels one after another, panel
+    [r0, r1) row-major over columns 0 .. r1-1, so nothing right of a
+    panel's diagonal block is stored; `transitions` forms the dense
+    (B, N, N) stack. Immutable; share freely across concurrent sequence
+    processors. The order, block length and block count are those of the
+    arrays, which must be (B, W) and (B, N, L) with W = `_panel_width(N)`.
+    The strict upper parts of the panels' diagonal blocks, the only entries
+    above the diagonal a bank holds, must be exact zeros. A bank of any
+    other shape or with any other entry there, or of an unknown scheme,
+    raises ValueError; a scheme may be given by name.
     """
 
     scheme: Scheme
-    transitions: np.ndarray  # (max_blocks, N, N)
-    kernels: np.ndarray      # (max_blocks, N, L)
+    panels: np.ndarray   # (max_blocks, W)
+    kernels: np.ndarray  # (max_blocks, N, L)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        p, k = self.transitions, self.kernels
-        if p.ndim != 3 or k.ndim != 3 or p.shape != (k.shape[0], k.shape[1], k.shape[1]):
+        p, k = self.panels, self.kernels
+        if k.ndim != 3 or p.shape != (k.shape[0], _panel_width(k.shape[1])):
             raise ValueError(
-                f"transitions {p.shape} and kernels {k.shape} are not (B, N, N) and (B, N, L)"
+                f"transitions {p.shape} and kernels {k.shape} are not (B, W) row panels"
+                " and (B, N, L)"
             )
-        # one row's strict upper part at a time: a whole-bank mask or triu
-        # copy would be as large as the bank (50 MB at N = 128, 256 blocks)
-        for row in range(p.shape[1] - 1):
-            if p[:, row, row + 1:].any():
-                raise ValueError(f"transitions are not lower triangular in row {row}")
+        for r0, r1, panel in self._views:
+            # the diagonal block's nonzero pattern over all blocks: no copy of the panel
+            if np.triu(panel[:, :, r0:].any(axis=0), 1).any():
+                raise ValueError(f"transitions are not lower triangular in rows {r0} to {r1 - 1}")
+
+    @cached_property
+    def _views(self) -> list[tuple[int, int, np.ndarray]]:
+        """(r0, r1, panel) per panel, each a (B, r1 - r0, r1) view of `panels`."""
+        return _panels(self.panels, self.order)
+
+    @property
+    def transitions(self) -> np.ndarray:
+        """The dense (B, N, N) stack of P_i, formed anew on each access."""
+        n = self.order
+        dense = np.zeros((self.max_blocks, n, n))
+        for r0, r1, panel in self._views:
+            dense[:, r0:r1, :r1] = panel
+        return _freeze(dense)
 
     @property
     def order(self) -> int:
@@ -68,7 +112,7 @@ class BlockKernelBank:
 
     @property
     def max_blocks(self) -> int:
-        return self.transitions.shape[0]
+        return self.kernels.shape[0]
 
 
 def build_bank(
@@ -79,11 +123,13 @@ def build_bank(
     max_blocks = _as_index("max_blocks", max_blocks)
     scheme = Scheme(scheme)
     n, ell = op.order, block_length
-    transitions = np.empty((max_blocks, n, n))
+    panels = np.empty((max_blocks, _panel_width(n)))
     kernels = np.empty((max_blocks, n, ell))
-    _fill_bank(op, scheme, transitions, kernels)
-    _check_finite(scheme, transitions, kernels)
-    return BlockKernelBank(scheme, _freeze(transitions), _freeze(kernels))
+    # row n of every P_i, a (B, r1) view into its panel
+    rows = [row for *_, panel in _panels(panels, n) for row in panel.transpose(1, 0, 2)]
+    _fill_bank(op, scheme, rows, kernels)
+    _check_finite(scheme, panels, kernels)
+    return BlockKernelBank(scheme, _freeze(panels), _freeze(kernels))
 
 
 def block_update(
@@ -92,12 +138,10 @@ def block_update(
     """Fold one block of inputs into the state: C <- P_i C + K_i F_i.
 
     Equivalent to applying the per-step recurrence over the block token by
-    token, whatever the block length. P_i C is one product per row panel of
-    `_PANEL_ROWS` rows, which skips the zeros right of the panel's diagonal
-    block and keeps the bits of the full product P_i @ C; K_i F_i is one
-    more product, added into it. A one-row last panel joins the panel above
-    it: numpy forms a one-row product as a matrix-vector product, which
-    does not sum in the full product's order.
+    token, whatever the block length. P_i C is one product per stored row
+    panel, each contiguous; the zeros right of a panel's diagonal block are
+    not stored, and the bits are those of the full product P_i @ C. K_i F_i
+    is one more product, added into it.
     """
     position = state.blocks_absorbed + 1
     if position > bank.max_blocks:
@@ -113,12 +157,9 @@ def block_update(
         raise ValueError(
             f"inputs shape {f.shape} != ({bank.block_length}, {state.channel_count})"
         )
-    p, c = bank.transitions[position - 1], state.coefficients
-    n = state.order
+    c = state.coefficients
     coeffs = np.empty(c.shape)
-    top = 0
-    for end in [*range(_PANEL_ROWS, n - 1, _PANEL_ROWS), n]:
-        np.matmul(p[top:end, :end], c[:end], out=coeffs[top:end])
-        top = end
+    for r0, r1, panels in bank._views:
+        np.matmul(panels[position - 1], c[:r1], out=coeffs[r0:r1])
     coeffs += np.matmul(bank.kernels[position - 1], f)
     return MemoryState(coeffs, blocks_absorbed=position)

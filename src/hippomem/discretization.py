@@ -128,13 +128,15 @@ def zero_state(order: int, channels: int) -> MemoryState:
 
 
 def transition_power(
-    op: HippoOperator, ratio: float | np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+    op: HippoOperator, ratio: float | np.ndarray, out: list[np.ndarray] | None = None
+) -> np.ndarray | list[np.ndarray]:
     """The matrix power ratio**A for the lower-triangular operator A.
 
     A scalar ratio gives one N x N matrix, an array of ratios one per ratio
-    (shape ratios.shape + (N, N)), each with the bits of its scalar call;
-    `out`, an array of that shape, takes the result in place.
+    (shape ratios.shape + (N, N)), each with the bits of its scalar call.
+    `out`, a list of N arrays of shape (ratios.size, W), takes row n of
+    every power, columns 0 .. W-1, in out[n], and is returned: `build_bank`
+    writes its row panels so, with no dense power formed.
     r**A re-expands projection coefficients from horizon t to t/r with
     nothing appended: entry (n, k) is r times the coefficient of g_k(u) in
     the dilated g_n(r u). Bonnet's recurrence for P_n(r v + r - 1) and
@@ -153,15 +155,19 @@ def transition_power(
     if ratios.size and not (0.0 <= ratios.min() and ratios.max() <= 1.0):
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     n = op.order
-    power = np.empty(ratios.shape + (n, n)) if out is None else out
-    if power.shape != ratios.shape + (n, n):
-        raise ValueError(f"out has shape {power.shape}, not {ratios.shape + (n, n)}")
     r = ratios.ravel()
+    power = None
+    if out is None:
+        power = np.empty(ratios.shape + (n, n))
+        out = list(power.reshape(-1, n, n).transpose(1, 0, 2))
+    if len(out) != n or any(dest.ndim != 2 or dest.shape[0] != r.size for dest in out):
+        raise ValueError(f"out must be {n} rows of shape ({r.size}, W)")
     s = np.sqrt(2.0 * np.arange(n) + 1.0)
     # work row j holds column k = j - 1 for every ratio; row 0, k = -1, stays 0
     gamma = np.r_[0.0, 0.0, np.arange(1.0, n) / (s[:-1] * s[1:])][:, None]
     # one row per ratio, as in a scalar call: pow's bits depend on its operands' layout
     diagonal = r[:, None] ** np.arange(1.0, n + 1)
+    ones = r == 1.0
     prev, cur, nxt, tmp = np.zeros((4, n + 1, r.size))
     for row in range(n):
         if row:  # columns 0 .. row - 1 from rows row - 1 (cur) and row - 2 (prev)
@@ -178,9 +184,10 @@ def transition_power(
             t -= u
             prev, cur, nxt = cur, nxt, prev
         cur[row + 1] = diagonal[:, row]
-        power[..., row, :] = cur[1:].T.reshape(ratios.shape + (n,))
-    power[ratios == 1.0] = np.eye(n)
-    return power
+        dest = out[row]
+        dest[:] = cur[1:dest.shape[1] + 1].T
+        dest[ones] = np.arange(dest.shape[1]) == row
+    return out if power is None else power
 
 
 def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
@@ -291,17 +298,18 @@ _GROUP_POINTS = 4096
 
 
 def _fill_bank(
-    op: HippoOperator, scheme: Scheme, transitions: np.ndarray, kernels: np.ndarray
+    op: HippoOperator, scheme: Scheme, rows: list[np.ndarray], kernels: np.ndarray
 ) -> None:
     """Fill (P_i, K_i) for consecutive blocks of unit steps from step 1 on.
 
-    transitions is (blocks, N, C) and kernels is (blocks, N, L); block i
-    (0-based) covers steps i L + 1 .. (i + 1) L and is read at horizon
-    (i + 1) L + 1. P_i is the ordered product of the block's step matrices,
-    of which transitions takes columns 0 .. C-1: C = N for `build_bank`, and
-    C = 1 for `history_kernel`'s one-block banks (ZOH takes C = N only);
-    column j of K_i is the product of the block's step matrices above its
-    step j times that step's input vector.
+    kernels is (blocks, N, L); block i (0-based) covers steps
+    i L + 1 .. (i + 1) L and is read at horizon (i + 1) L + 1. P_i is the
+    ordered product of the block's step matrices, and rows[n], of shape
+    (blocks, W), takes columns 0 .. W-1 of its row n: for `build_bank` the
+    columns of the row's panel, W > n, with exact zeros past column n; for
+    `history_kernel`'s one-block banks (not ZOH) W = 1, column 0. No dense
+    P_i is formed. Column j of K_i is the product of the block's step
+    matrices above its step j times that step's input vector.
 
     For ZOH the products telescope into one matrix power per block and
     consecutive differences of `segment_coefficients`. One `transition_power`
@@ -320,7 +328,7 @@ def _fill_bank(
     blocks, n, ell = kernels.shape
     if scheme is Scheme.ZOH:
         start = np.arange(blocks) * ell + 1
-        transition_power(op, start / (start + ell), out=transitions)
+        transition_power(op, start / (start + ell), out=rows)
     group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
     for first in range(0, blocks, group):
         last = min(blocks, first + group)
@@ -333,7 +341,7 @@ def _fill_bank(
             np.subtract(seg[..., 1:], seg[..., :-1], out=out)
         else:
             steps = start[:, None] + np.arange(ell, dtype=float)
-            args = steps, transitions[first:last], kernels[first:last]
+            args = steps, [row[first:last] for row in rows], kernels[first:last]
             if scheme is Scheme.FORWARD_EULER:
                 _fold_steps(op, *args)
             else:
@@ -341,13 +349,13 @@ def _fill_bank(
 
 
 def _fold_steps(
-    op: HippoOperator, steps: np.ndarray, transitions: np.ndarray, kernels: np.ndarray
+    op: HippoOperator, steps: np.ndarray, rows: list[np.ndarray], kernels: np.ndarray
 ) -> None:
     """Fill forward Euler (P_i, K_i) by multiplying step matrices.
 
     The arguments are those of `_scan_kernel`, from `_fill_bank` only:
-    steps is (blocks, L), kernels (blocks, N, L) and transitions
-    (blocks, N, C), the first C columns of each P_i. Each block walks its
+    steps is (blocks, L), kernels (blocks, N, L) and rows[n] (blocks, W),
+    columns 0 .. W-1 of row n of each P_i. Each block walks its
     steps from the last down: column j of K_i is the suffix product times
     the step's input vector h B, and the suffix product then takes the step
     matrix I - h A, with h = 1/k (as in `discretize_interval`). One step
@@ -367,7 +375,8 @@ def _fold_steps(
             np.multiply(h[j], op.a_matrix, out=a_bar)
             np.subtract(eye, a_bar, out=a_bar)
             prod = prod @ a_bar
-        transitions[block] = prod[:, :transitions.shape[2]]
+        for dest, prod_row in zip(rows, prod):
+            dest[block] = prod_row[:dest.shape[1]]
 
 
 # Smallest product of row multipliers that one `_scan_kernel` segment may
@@ -426,16 +435,17 @@ def _segment_bounds(backward: bool, n: int, steps: np.ndarray) -> list[int]:
 
 def _scan_kernel(
     op: HippoOperator, scheme: Scheme, steps: np.ndarray,
-    transitions: np.ndarray, kernels: np.ndarray,
+    rows: list[np.ndarray], kernels: np.ndarray,
 ) -> None:
     """Fill backward Euler or bilinear (P_i, K_i) row by row, with no step matrices.
 
     steps is (blocks, L): row i holds the unit steps of block i, in order
     (step k covers [k, k+1]), and block i+1 goes on where block i ends, as
     `_fill_bank`, its only caller, numbers them. kernels is (blocks, N, L),
-    and transitions is (blocks, N, C): it takes columns 0 .. C-1 of each
-    P_i, so C = N for a bank and C = 1 for a history kernel, whose column
-    0 is P e0 and whose rows solve from e0 alone.
+    and rows[n] is (blocks, W): it takes columns 0 .. W-1 of row n of each
+    P_i. The last row's width C is the number of start columns: C = N for
+    a bank, and C = 1 for a history kernel, whose column 0 is P e0 and
+    whose rows solve from e0 alone.
 
     Both schemes solve M = I + c A with the LegS A = diag(n+1) plus the
     strict lower triangle of s s^T (s = B). Backward Euler has h = 1/(k+1),
@@ -487,8 +497,9 @@ def _scan_kernel(
     solved with it.
     """
     blocks, n, ell = kernels.shape
-    starts = np.eye(n, transitions.shape[2])  # row n of u_L = e_r, per start column r
-    transitions[:] = starts                   # zeros above the diagonal; no steps: P = I
+    starts = np.eye(n, rows[-1].shape[1])  # row n of u_L = e_r, per start column r
+    for dest, start in zip(rows, starts):  # zeros above the diagonal; no steps: P = I
+        dest[:] = start[:dest.shape[1]]
     if not ell:
         return
     s = op.b_vector
@@ -557,7 +568,7 @@ def _scan_kernel(
                 np.multiply(tr[block, :, lo:z + 1], scaled[block, :, lo:z + 1], out=ys)
                 np.add.accumulate(ys[..., ::-1], axis=-1, out=ys[..., ::-1])
                 np.multiply(phi[block, :, lo:z + 1], ys, out=xr[block, :, lo:z + 1])
-        transitions[:, row, :live] = xr[..., 0]
+        rows[row][:, :live] = xr[..., 0]
         k = kernels[:, row]
         np.multiply(x_after, -lam / s[row], out=k)
         k -= total_0
@@ -675,7 +686,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
             del seg  # else it lives on beside the next chunk's table and output
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
         # steps 1 .. T-1; P keeps column 0, P e0, the exact first-sample absorption
-        _fill_bank(op, scheme, kernel[None, :, :1], kernel[None, :, 1:])
+        _fill_bank(op, scheme, list(kernel[:, None, :1]), kernel[None, :, 1:])
     else:
         _hahn_kernel(kernel, scheme is Scheme.BACKWARD_EULER)
     _check_finite(scheme, kernel)

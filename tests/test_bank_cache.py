@@ -56,7 +56,7 @@ def test_kernel_bank_roundtrip(tmp_path):
 
 def test_kernel_bank_of_a_scheme_name_roundtrips(tmp_path):
     built = build_bank(build_operator(6), 5, Scheme.ZOH, 3)
-    bank = BlockKernelBank("zoh", built.transitions, built.kernels)
+    bank = BlockKernelBank("zoh", built.panels, built.kernels)
     assert bank.scheme is Scheme.ZOH
     path = str(tmp_path / "bank.emkb")
     write_kernel_bank(path, bank)
@@ -88,7 +88,7 @@ def test_read_bank_arrays_are_views_of_the_file_bytes(tmp_path, strategy):
         bank = build_bank(op, 5, Scheme.ZOH, 3)
         write_kernel_bank(str(tmp_path / "bank"), bank)
         loaded = read_kernel_bank(str(tmp_path / "bank"))
-        pairs = [(loaded.transitions, bank.transitions), (loaded.kernels, bank.kernels)]
+        pairs = [(loaded.panels, bank.panels), (loaded.kernels, bank.kernels)]
     else:
         bank = build_reconstruction_bank(op, strategy, 7, 5, 3)
         write_reconstruction_bank(str(tmp_path / "bank"), bank)
@@ -115,10 +115,10 @@ def test_write_is_deterministic(tmp_path):
 def test_write_streams_the_layout_from_any_array_order(tmp_path):
     bank = build_bank(build_operator(5), 3, Scheme.BILINEAR, 2)
     fortran = BlockKernelBank(bank.scheme,
-                              np.asfortranarray(bank.transitions),
+                              np.asfortranarray(bank.panels),
                               np.asfortranarray(bank.kernels))
-    assert not fortran.transitions.flags.c_contiguous
-    payload = bank.transitions.tobytes() + bank.kernels.tobytes()
+    assert not fortran.panels.flags.c_contiguous
+    payload = bank.panels.tobytes() + bank.kernels.tobytes()
     for name, written in (("c", bank), ("f", fortran)):
         path = tmp_path / name
         size = write_kernel_bank(str(path), written)
@@ -161,8 +161,8 @@ def _flip_last_byte(blob):
     # re-sealed: the checksum passes, and only building the strategy can object
     pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 1.5), id="resealed-decay-1.5"),
     pytest.param(EXP, lambda b: _set_header(b, "<d", _DECAY_AT, 0.0), id="resealed-decay-0"),
-    # P_1[0, 1], the first payload entry above a diagonal: only the bank's
-    # lower-triangle check can object
+    # P_1[0, 1], the first payload entry above a diagonal, inside the first
+    # panel's diagonal block: only the bank's lower-triangle check can object
     pytest.param(None, lambda b: _set_header(b, "<d", _CHECKSUM_AT + 4 + 8, 0.5),
                  id="resealed-transition-above-diagonal"),
 ])
@@ -206,13 +206,44 @@ def _rewrite_header(path, fmt, offset, value):
 def test_older_version_is_rebuilt(tmp_path):
     for strategy in (None, EXP):    # a kernel bank, then a reconstruction bank
         _, path, _ = _load_or_build(tmp_path, strategy)
-        for version in (1, 2, 3, 4, 5, 6, 7, 8):
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             # an intact file of an older version: only the version check can reject it
             _rewrite_header(path, "<I", _VERSION_AT, version)
             _, _, hit = _load_or_build(tmp_path, strategy)
             assert not hit
             _, _, hit = _load_or_build(tmp_path, strategy)
             assert hit
+
+
+def _write_version_9(path, bank):
+    """bank as a version-9 file: its dense (B, N, N) transitions, then its kernels."""
+    fields = struct.pack("<4sIIIIIId", b"EMKB", 9, bank.order, bank.block_length, 0,
+                         bank.max_blocks, 0, 0.0)
+    payload = bank.transitions.tobytes() + bank.kernels.tobytes()
+    checksum = zlib.crc32(payload, zlib.crc32(fields))
+    Path(path).write_bytes(fields + struct.pack("<I", checksum) + payload)
+
+
+def test_version_9_file_is_rebuilt_not_read(tmp_path):
+    # an intact file of the dense layout, which its checksum and header vouch for
+    op = build_operator(20)
+    bank = build_bank(op, 4, Scheme.ZOH, 3)
+    path = tmp_path / "kernel_N20_L4_zoh_B3.emkb"
+    _write_version_9(path, bank)
+    with pytest.raises(CacheError, match="unsupported version 9"):
+        read_kernel_bank(str(path))
+    # marked version 10, the dense payload is the wrong size for the panels
+    _rewrite_header(path, "<I", _VERSION_AT, 10)
+    with pytest.raises(CacheError, match="payload size mismatch"):
+        read_kernel_bank(str(path))
+    _write_version_9(path, bank)
+    loaded, _, hit = load_or_build_kernel_bank(str(tmp_path), op, 4, Scheme.ZOH, 3)
+    assert not hit
+    np.testing.assert_array_equal(loaded.panels, bank.panels)
+    data = path.read_bytes()
+    assert struct.unpack_from("<I", data, _VERSION_AT) == (10,)
+    assert len(data) == _CHECKSUM_AT + 4 + 8 * 3 * (16 * 16 + 4 * 20 + 20 * 4)
+    assert load_or_build_kernel_bank(str(tmp_path), op, 4, Scheme.ZOH, 3)[2]
 
 
 def test_truncated_file_rejected(tmp_path):

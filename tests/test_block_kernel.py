@@ -15,7 +15,7 @@ from hippomem import (
     zero_state,
 )
 from hippomem import discretization
-from hippomem.block_kernel import BlockKernelBank
+from hippomem.block_kernel import BlockKernelBank, _panel_rows, _panels, _panel_width
 from hippomem.discretization import (
     _GROUP_POINTS, _segment_bounds, segment_coefficients, transition_power,
 )
@@ -105,12 +105,13 @@ def test_zoh_bank_equals_per_block_power_and_segments(order, ell, blocks):
     assert blocks % group  # the last group is partial
     op = build_operator(order)
     bank = build_bank(op, ell, Scheme.ZOH, blocks)
+    transitions = bank.transitions
     for i in range(blocks):
         start, horizon = i * ell + 1, (i + 1) * ell + 1
         seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
-        np.testing.assert_array_equal(bank.transitions[i], transition_power(op, start / horizon))
+        np.testing.assert_array_equal(transitions[i], transition_power(op, start / horizon))
         np.testing.assert_array_equal(bank.kernels[i], seg[:, 1:] - seg[:, :-1])
-    assert bank.transitions.strides == np.empty((blocks, order, order)).strides
+    assert bank.panels.strides == np.empty((blocks, _panel_width(order))).strides
     assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
 
 
@@ -345,66 +346,93 @@ def test_forward_history_kernel_matches_one_block_bank(order, offset):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_bank_transitions_are_exactly_lower_triangular(scheme):
-    # block_update's row panels skip everything above the diagonal
+    # the dense accessor has +0.0 wherever the panels store nothing, and the
+    # panels' diagonal blocks hold +0.0 above the diagonal
     for order, ell, blocks in ((6, 5, 3), (32, 16, 4), (40, 3, 2)):
         bank = build_bank(build_operator(order), ell, scheme, blocks)
-        assert not np.triu(bank.transitions, 1).any()
+        upper = np.triu(bank.transitions, 1)
+        assert not upper.any() and not np.signbit(upper).any()
         assert np.tril(bank.transitions, -1).any()
 
 
+def test_panels_hold_the_lower_triangle_by_16_row_panels():
+    # rows [r0, r1) over columns [0, r1); a one-row last panel joins the one above
+    assert _panel_rows(1) == [(0, 1)]
+    assert _panel_rows(17) == [(0, 17)]
+    assert _panel_rows(33) == [(0, 16), (16, 33)]
+    assert _panel_rows(34) == [(0, 16), (16, 32), (32, 34)]
+    assert _panel_width(128) == 9216 and _panel_width(32) == 768
+    bank = build_bank(build_operator(34), 4, Scheme.BILINEAR, 3)
+    dense = bank.transitions
+    assert bank.panels.shape == (3, 16 * 16 + 16 * 32 + 2 * 34)
+    for r0, r1, panel in _panels(bank.panels, 34):
+        np.testing.assert_array_equal(panel, dense[:, r0:r1, :r1])
+    assert not bank.transitions.flags.writeable
+
+
+def _bank_with_panel_entry(bank, block, row, col, value):
+    """A hand-built copy of bank with P_block[row, col] stored as value."""
+    panels = bank.panels.copy()
+    r0, panel = next((r0, panel) for r0, r1, panel in _panels(panels, bank.order)
+                     if r0 <= row < r1)
+    panel[block, row - r0, col] = value
+    return BlockKernelBank(bank.scheme, panels, bank.kernels)
+
+
 def test_bank_rejects_an_entry_above_the_diagonal():
-    bank = build_bank(build_operator(6), 4, Scheme.ZOH, 3)
-    for block, row, col in ((0, 0, 1), (2, 4, 5), (1, 0, 5)):
-        transitions = bank.transitions.copy()
-        transitions[block, row, col] = 1e-300
-        with pytest.raises(ValueError, match=f"not lower triangular in row {row}"):
-            BlockKernelBank(bank.scheme, transitions, bank.kernels)
-    transitions = bank.transitions.copy()
-    transitions[1, 2, 3] = np.nan
+    # panels store nothing right of their diagonal block, so only the strict
+    # upper parts of the diagonal blocks can hold such an entry, and they are checked
+    bank = build_bank(build_operator(40), 4, Scheme.ZOH, 3)
+    for block, row, col, rows in ((0, 0, 1, "0 to 15"), (2, 14, 15, "0 to 15"),
+                                  (1, 16, 17, "16 to 31"), (2, 32, 39, "32 to 39")):
+        with pytest.raises(ValueError, match=f"not lower triangular in rows {rows}"):
+            _bank_with_panel_entry(bank, block, row, col, 1e-300)
     with pytest.raises(ValueError, match="not lower triangular"):
-        BlockKernelBank(bank.scheme, transitions, bank.kernels)
+        _bank_with_panel_entry(bank, 1, 20, 30, np.nan)
     # the lower triangle and the diagonal take any value
-    transitions = bank.transitions.copy()
-    transitions[:, 5, :] = -2.0
-    BlockKernelBank(bank.scheme, transitions, bank.kernels)
+    for row, col in ((5, 5), (39, 0), (20, 19)):
+        _bank_with_panel_entry(bank, 1, row, col, -2.0)
 
 
 @pytest.mark.parametrize("transitions_shape, kernels_shape", [
-    ((4, 6, 6), (2, 6, 4)),   # more transitions than kernels
-    ((2, 6, 6), (4, 6, 4)),   # fewer
-    ((3, 6, 5), (3, 6, 4)),   # P_i not square
-    ((3, 5, 5), (3, 6, 4)),   # K_i of another order
-    ((6, 6), (3, 6, 4)),
-    ((3, 6, 6), (6, 4)),
+    ((4, 36), (2, 6, 4)),     # more transitions than kernels
+    ((2, 36), (4, 6, 4)),     # fewer
+    ((3, 6, 6), (3, 6, 4)),   # dense P_i, not row panels
+    ((3, 25), (3, 6, 4)),     # panels of another order than K_i
+    ((36,), (3, 6, 4)),
+    ((3, 36), (6, 4)),
 ])
 def test_bank_rejects_mismatched_shapes(transitions_shape, kernels_shape):
-    # a bank of 4 transitions and 2 kernels would otherwise build, then stop
+    # transitions are stored as (B, W) row panels, W = 36 at N = 6; a bank of
+    # 4 transitions and 2 kernels would otherwise build, then stop
     # block_update at block 3 with an IndexError
-    with pytest.raises(ValueError, match="are not \\(B, N, N\\) and \\(B, N, L\\)"):
+    with pytest.raises(ValueError, match="are not \\(B, W\\) row panels and \\(B, N, L\\)"):
         BlockKernelBank(Scheme.ZOH, np.zeros(transitions_shape), np.zeros(kernels_shape))
 
 
 def test_bank_coerces_its_scheme():
-    transitions, kernels = np.zeros((3, 6, 6)), np.zeros((3, 6, 4))
-    assert BlockKernelBank("Bilinear", transitions, kernels).scheme is Scheme.BILINEAR
+    panels, kernels = np.zeros((3, 36)), np.zeros((3, 6, 4))
+    assert BlockKernelBank("Bilinear", panels, kernels).scheme is Scheme.BILINEAR
     with pytest.raises(ValueError, match="unknown scheme 'euler'"):
-        BlockKernelBank("euler", transitions, kernels)
+        BlockKernelBank("euler", panels, kernels)
 
 
 def test_bank_sizes_are_those_of_its_arrays():
-    bank = BlockKernelBank(Scheme.ZOH, np.zeros((3, 6, 6)), np.zeros((3, 6, 4)))
+    bank = BlockKernelBank(Scheme.ZOH, np.zeros((3, 36)), np.zeros((3, 6, 4)))
     assert (bank.max_blocks, bank.order, bank.block_length) == (3, 6, 4)
+    assert bank.transitions.shape == (3, 6, 6)
 
 
-@pytest.mark.parametrize("order", [6, 32, 33, 64, 65, 97, 100, 128, 129])
-@pytest.mark.parametrize("channels", [1, 16, 256])
+@pytest.mark.parametrize("order", [1, 6, 15, 16, 17, 31, 32, 33, 48, 49, 64, 65, 97, 100,
+                                   127, 128, 129])
+@pytest.mark.parametrize("channels", [1, 2, 3, 16, 256])
 def test_block_update_is_p_c_plus_k_f_to_the_bit(order, channels):
-    # P_i C is formed in row panels that stop at the diagonal block. The
-    # skipped entries are exact zeros, and each panel sums the same products
-    # over k in the same order as the full product, so the bits are those of
-    # P_i @ C + K_i @ F. A one-row product would not (numpy takes gemv, which
-    # sums in another order), so at N = 33, 65, 97 and 129 the last row joins
-    # the panel above it.
+    # P_i C is one product per stored 16-row panel, over the columns up to
+    # the panel's diagonal block. The entries left out are exact zeros, and
+    # each panel sums the same products over k in the same order as the
+    # full product, so the bits are those of P_i @ C + K_i @ F. A one-row
+    # product would not (numpy takes gemv, which sums in another order), so
+    # at N = 17, 33, 49, 65, 97 and 129 the last row joins the panel above it.
     op = build_operator(order)
     bank = build_bank(op, 8, Scheme.ZOH, 2)
     coeffs = normals(derive(order, channels), order * channels).reshape(order, channels)

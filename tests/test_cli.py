@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, validation, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,18 @@ def test_build_banks_then_cache_hit(tmp_path, capsys):
     summary = last_summary(out)
     assert summary["kernel_cache_hit"] and summary["recon_cache_hit"]
     assert "no recomputation" in out
+
+
+def test_build_banks_writes_the_row_panels(tmp_path, capsys):
+    # header, then 40 blocks of P_i's 16-row panels (9216 floats at N = 128,
+    # not 16384) and K_i (128 x 64)
+    code, out, err = run_cli(["build-banks", "--order", "128", "--max-blocks", "40",
+                              "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    size = 40 + 8 * 40 * (9216 + 8192)
+    assert f"kernel bank: N=128 L=64 max_blocks=40 bytes={size} (built)" in out
+    assert last_summary(out)["kernel_bytes"] == size
+    assert (tmp_path / "kernel_N128_L64_zoh_B40.emkb").stat().st_size == size
 
 
 def test_build_banks_rejects_zero_max_blocks(tmp_path, capsys):
@@ -200,6 +213,21 @@ def test_compress_rejects_non_finite_values(tmp_path, capsys, value):
     code, out, err = run_cli(["compress", str(sig)], capsys)
     assert code == 2 and out == ""
     assert f"{sig}:2:" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("scheme", ["forward", "backward"])
+def test_compress_fails_on_a_non_finite_mse(tmp_path, capsys, scheme):
+    # finite values near 1e200 square past float64's range: the MSE is inf,
+    # which is a failed check, not a pass
+    sig = tmp_path / "sig.txt"
+    sig.write_text("".join(f"{1e200 * math.sin(0.05 * i)!r}\n" for i in range(300)))
+    code, out, err = run_cli(["compress", str(sig), "--order", "32", "--scheme", scheme],
+                             capsys)
+    assert code == 1
+    assert "MSE inf\n" in out
+    summary = last_summary(out)
+    assert summary["pass"] is False and summary["mse"] == "inf"
+    assert "RuntimeWarning" not in err
 
 
 def test_bench_table_writes_csv(tmp_path, capsys):

@@ -210,18 +210,23 @@ def test_batched_transition_power_has_the_bits_of_scalar_calls():
     assert transition_power(op, np.empty(0)).shape == (0, 6, 6)
     with pytest.raises(ValueError):
         transition_power(op, np.array([0.5, 1.5]))
-    # a bank's transitions are formed in its own array
-    out = np.full((5, 6, 6), np.nan)
-    assert transition_power(op, ratios, out=out) is out
-    np.testing.assert_array_equal(out, powers)
+    # a bank's transitions are formed row by row in its own panels: row n of
+    # every power, over as many columns as its destination has
+    for widths in ([6] * 6, [1, 2, 3, 4, 5, 6], [4, 4, 4, 4, 6, 6]):
+        out = [np.full((5, w), np.nan) for w in widths]
+        assert transition_power(op, ratios, out=out) is out
+        for row, dest in enumerate(out):
+            np.testing.assert_array_equal(dest, powers[:, row, :widths[row]])
     with pytest.raises(ValueError):
-        transition_power(op, ratios, out=np.empty((4, 6, 6)))
+        transition_power(op, ratios, out=[np.empty((4, 6))] * 6)
+    with pytest.raises(ValueError):
+        transition_power(op, ratios, out=[np.empty((5, 6))] * 5)
 
 
 @pytest.mark.parametrize("order", [8, 32, 128])
 def test_transition_power_is_exactly_lower_triangular(order):
     # entries above the diagonal are +0.0, never quadrature noise or -0.0;
-    # N = 128 spans four row panels, N = 8 a part of one
+    # a bank's panels store those inside their diagonal blocks
     op = build_operator(order)
     ratios = np.array([0.0, 0.3, 63 / 64, 16321 / 16385, 1.0])
     upper = np.triu(np.ones((order, order), dtype=bool), 1)

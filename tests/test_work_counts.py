@@ -16,6 +16,7 @@ import pytest
 from hippomem import (
     AttentionConfig,
     BlockIO,
+    MemoryState,
     SamplingKind,
     SamplingStrategy,
     Scheme,
@@ -141,7 +142,7 @@ def test_forward_euler_bank_forms_one_step_matrix_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    payload = bank.panels.nbytes + bank.kernels.nbytes
     assert peak < payload + 8 * op.a_matrix.nbytes, (peak, payload)
 
 
@@ -157,13 +158,15 @@ def traced_peak(build):
 
 
 def test_zoh_bank_transitions_are_formed_in_place():
-    # the stream benchmark's bank (50.3 MB): one transition_power call writes
-    # the P_i into the bank's own array, beside its work arrays (1 MB) and one
-    # group's segment tables (about 6 MB); a (B, N, N)
-    # temporary would add 33.6 MB. Measured 6.3 MB over the bank; P_i by a
-    # Gauss-Legendre quadrature per group of blocks held 10.5 MB.
+    # the stream benchmark's bank (35.65 MB: 18.9 MB of row panels, 16.8 MB
+    # of kernels): one transition_power call writes the P_i row by row into
+    # the bank's own panels, beside its work arrays (1 MB) and one group's
+    # segment tables (about 6 MB). A dense (B, N, N) stack would add 33.6 MB,
+    # and a dense P_i temporary per group of 31 blocks 4.1 MB. The dense
+    # layout measured 6.3 MB over its 50.3 MB bank.
     bank, peak = traced_peak(lambda: build_bank(build_operator(128), 64, Scheme.ZOH, 256))
-    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    payload = bank.panels.nbytes + bank.kernels.nbytes
+    assert payload == 256 * (9216 + 128 * 64) * 8
     assert peak - payload <= 8e6, (peak, payload)
 
 
@@ -302,38 +305,46 @@ class _Numpy:
         return getattr(np, name)
 
 
-def _rows_and_columns(view, base):
-    """(rows, columns) of the 2-D C-order base that a view into it covers."""
+def _offset(view, base):
+    """Elements from the start of base to the start of a view into it."""
     start = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
-    row, col = divmod(start // view.itemsize, base.shape[1])
-    return (row, row + view.shape[0]), (col, col + view.shape[1])
+    return start // view.itemsize
 
 
 @pytest.mark.parametrize("order, channels, panels", [
-    (128, 256, 4),   # the stream benchmark's shape: four 32-row panels
-    (64, 256, 2),
-    (32, 256, 1),    # the attn benchmark's shape: one product
-    (128, 16, 4),    # panels at every size
-    (65, 256, 2),    # a one-row last panel joins the panel above: rows 32 .. 64
+    (128, 256, 8),   # the stream benchmark's shape: eight 16-row panels
+    (64, 256, 4),
+    (32, 256, 2),    # the attn benchmark's shape
+    (128, 16, 8),    # panels at every size
+    (65, 256, 4),    # a one-row last panel joins the panel above: rows 48 .. 64
+    (17, 256, 1),    # and so N <= 17 is one product
 ])
 def test_block_update_reads_nothing_right_of_a_panels_diagonal_block(
         monkeypatch, order, channels, panels):
-    # panel rows [top, end) read columns [0, end) of P_i, never the zeros past
-    # their diagonal block; the last panel ends at row N, and one more
-    # product takes K_i F_i
-    bank = build_bank(build_operator(order), 4, Scheme.ZOH, 1)
-    p = bank.transitions[0]
+    # panel rows [top, end) are stored over columns [0, end) of P_i, one
+    # contiguous panel after another, and each is one product with C's
+    # rows [0, end); the last panel ends at row N, and one more product
+    # takes K_i F_i
+    bank = build_bank(build_operator(order), 4, Scheme.ZOH, 2)
+    p = bank.panels[1]
     products = []
 
     def matmul(a, b, **kwargs):
-        products.append(_rows_and_columns(a, p) if np.shares_memory(a, p) else "K F")
+        if np.shares_memory(a, p):
+            products.append((_offset(a, p), a.shape, a.flags.c_contiguous, b.shape[0]))
+        else:
+            products.append("K F")
         return np.matmul(a, b, **kwargs)
 
     monkeypatch.setattr(block_kernel, "np", _Numpy(matmul=matmul))
-    block_update(zero_state(order, channels), np.ones((4, channels)), bank)
-    tops = [32 * i for i in range(panels)]
-    assert products == [((top, end), (0, end))
-                        for top, end in zip(tops, tops[1:] + [order])] + ["K F"]
+    state = MemoryState(np.zeros((order, channels)), blocks_absorbed=1)
+    block_update(state, np.ones((4, channels)), bank)
+    tops = [16 * i for i in range(panels)]
+    ends = tops[1:] + [order]
+    offsets = np.cumsum([0] + [(end - top) * end for top, end in zip(tops, ends)])
+    assert products == [(at, (end - top, end), True, end)
+                        for at, top, end in zip(offsets, tops, ends)] + ["K F"]
+    assert offsets[-1] == p.size
 
 
 def test_softmax_exponentiates_no_masked_score(monkeypatch):
@@ -357,13 +368,14 @@ def test_softmax_exponentiates_no_masked_score(monkeypatch):
 
 
 def test_bank_triangle_check_holds_no_copy_of_the_transitions():
-    bank = build_bank(build_operator(64), 64, Scheme.ZOH, 64)
-    size = bank.transitions.nbytes
+    # nothing right of a panel's diagonal block is stored, so the check reads
+    # the diagonal blocks only, one panel at a time
+    bank = build_bank(build_operator(64), 64, Scheme.ZOH, 128)
+    size = bank.panels.nbytes
     assert size >= 1 << 21
     tracemalloc.start()
     try:
-        BlockKernelBank(bank.scheme, bank.transitions,
-                        bank.kernels)
+        BlockKernelBank(bank.scheme, bank.panels, bank.kernels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -372,7 +384,7 @@ def test_bank_triangle_check_holds_no_copy_of_the_transitions():
 
 def test_bank_writer_holds_no_copy_of_the_payload(tmp_path):
     bank = build_bank(build_operator(32), 64, Scheme.ZOH, 64)
-    payload = bank.transitions.nbytes + bank.kernels.nbytes
+    payload = bank.panels.nbytes + bank.kernels.nbytes
     assert payload >= 1 << 20
     tracemalloc.start()
     try:
