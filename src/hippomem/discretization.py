@@ -12,11 +12,15 @@ zero-order hold has a well-defined t0 = 0 limit (Abar -> 0, Bbar -> e0, the
 exact absorption of a constant first segment), which `discretize_interval`
 and `history_kernel` use.
 
-The construction's quantities each have one function: the Legendre table
-(`operators.legendre_table`), the segment coefficients r**A e0 in closed
-form (`segment_coefficients`) and the matrix power r**A by a recurrence
-over its rows (`transition_power`). Steps, kernels and banks take them from
-there only, so each is computed, and can be timed, in one place.
+The construction's quantities each have one function: the segment
+coefficients r**A e0 in closed form (`segment_coefficients`) and the matrix
+power r**A by a recurrence over its rows (`transition_power`). Steps,
+kernels and banks take them from there only, so each is computed, and can
+be timed, in one place. Legendre rows come from one recurrence,
+`operators._legendre_rows`, which `operators.legendre_table` runs into a
+whole table (for the basis) and `segment_coefficients` over a few reused
+rows, so no ZOH path makes a Legendre table and every ZOH Legendre row is
+computed inside `segment_coefficients`.
 
 Under every scheme Bbar_k = (I - Abar_k) e0, because A e0 = B, and the
 Abar_k are rational functions of A, so they commute. A whole-history kernel
@@ -48,9 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
-    HippoOperator, _as_index, _fold_case, _freeze, legendre_table,
-)
+from .operators import HippoOperator, _as_index, _fold_case, _freeze, _legendre_rows
 
 __all__ = [
     "Scheme",
@@ -190,7 +192,9 @@ def transition_power(
     return out if power is None else power
 
 
-def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
+def segment_coefficients(
+    op: HippoOperator, ratios: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Projection coefficients of the indicator of [0, r] at unit horizon.
 
     Column j holds (r**A @ e0) for r = ratios[j], as (N, ratios.size) rows
@@ -198,16 +202,41 @@ def segment_coefficients(op: HippoOperator, ratios: np.ndarray) -> np.ndarray:
     psi_n(r) = (P_{n+1}(2r-1) - P_{n-1}(2r-1)) / (2 sqrt(2n+1)).
     Consecutive differences of these columns are the zero-order-hold kernel
     columns, which is what makes whole-history compression a single matmul.
+    `out`, of shape (N,) + ratios.shape[:-1] + (P - 1,) for ratios of shape
+    (..., P), takes those differences along the last axis instead,
+    out[n] = psi_n[..., 1:] - psi_n[..., :-1], and is returned; every ZOH
+    kernel, bank and step is written so. The Legendre rows stream from one
+    `operators._legendre_rows` run, a block of degrees at a time (at most
+    4 `_GROUP_POINTS` floats of new rows, one degree at least), and each
+    psi_n row is formed once with the bits of a whole-table difference: no
+    Legendre table is made, and with `out` no psi table either.
     """
-    ratios = np.asarray(ratios, dtype=float).ravel()
+    ratios = np.asarray(ratios, dtype=float)
     if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
         raise ValueError("ratios must lie in [0, 1]")
     n = op.order
-    table = legendre_table(2.0 * ratios - 1.0, n + 1)
-    out = np.empty((n, ratios.size))
-    out[0] = ratios
-    np.subtract(table[2:], table[:n - 1], out=out[1:])
-    out[1:] /= (2.0 * np.sqrt(2.0 * np.arange(1, n) + 1.0))[:, None]
+    differences = out is not None
+    if differences:
+        shape = (n,) + ratios.shape[:-1] + (ratios.shape[-1] - 1,)
+        if out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
+        np.subtract(ratios[..., 1:], ratios[..., :-1], out=out[0])
+    else:
+        ratios = ratios.ravel()
+        out = np.empty((n, ratios.size))
+        out[0] = ratios
+    depth = min(n - 1, max(1, 4 * _GROUP_POINTS // max(1, ratios.size)))
+    rows = np.empty((depth + 2,) + ratios.shape)
+    psi = np.empty((depth,) + ratios.shape) if differences else None
+    scale = (2.0 * np.sqrt(2.0 * np.arange(n) + 1.0)).reshape((n,) + (1,) * ratios.ndim)
+    for lo, hi in _legendre_rows(2.0 * ratios - 1.0, n + 1, rows):
+        # psi_m for m = lo+1 .. hi-2, from P_{m-1} in rows[m-lo-1] and P_{m+1} in rows[m-lo+1]
+        first, last = lo + 1, hi - 1
+        block = psi[:last - first] if differences else out[first:last]
+        np.subtract(rows[2:hi - lo], rows[:hi - lo - 2], out=block)
+        block /= scale[first:last]
+        if differences:
+            np.subtract(block[..., 1:], block[..., :-1], out=out[first:last])
     return out
 
 
@@ -249,8 +278,8 @@ def discretize_interval(
             # the single-step case of a ZOH bank: a segment-coefficient difference
             ratio = t_start / t_end
             a_bar = transition_power(op, ratio)
-            seg = segment_coefficients(op, np.array([ratio, 1.0]))
-            b_bar = seg[:, 1] - seg[:, 0]
+            b_bar = np.empty(n)
+            segment_coefficients(op, np.array([ratio, 1.0]), out=b_bar[:, None])
         elif scheme is Scheme.FORWARD_EULER:
             a_bar = eye - (delta / t_start) * a
             b_bar = (delta / t_start) * b
@@ -289,11 +318,12 @@ def sequential_update(
     return MemoryState(coeffs, blocks_absorbed=state.blocks_absorbed)
 
 
-# Points per block group in `_fill_bank`, per column chunk of a ZOH
-# `history_kernel`, and per row chunk of the CLI's full-grid basis in
-# `compress`. Each segment table or row-solve array holds GROUP x N floats
-# at most (4 MB at N = 128); a larger group adds to peak RSS and saves only
-# per-degree or per-row call overhead.
+# Points per block group in `_fill_bank` and per row chunk of the CLI's
+# full-grid basis in `compress`; a row-solve array or basis chunk holds
+# GROUP x N floats at most (4 MB at N = 128), and a larger group adds to
+# peak RSS and saves only per-row call overhead. ZOH kernels take no column
+# chunks: `segment_coefficients` streams their Legendre rows, 4 GROUP
+# floats of rows per block of degrees.
 _GROUP_POINTS = 4096
 
 
@@ -318,12 +348,13 @@ def _fill_bank(
     blocks of about `_GROUP_POINTS` points, L + 1 segment ends or steps per
     block or N + 2 if more, which bounds each group array by about
     GROUP x min(N, L) floats. A ZOH group takes one `segment_coefficients`
-    call; the other schemes' groups one `_fold_steps` (forward Euler) or
+    call over its (blocks, L + 1) segment ends, which writes the group's
+    kernels through `out` (one Legendre recurrence, no segment table); the
+    other schemes' groups one `_fold_steps` (forward Euler) or
     `_scan_kernel` call (backward Euler and bilinear: one cumulative sum per
     state row, with segments cut from the group's first step only). Each
     group fills its slice of the caller's arrays with the bits of one-block
-    calls. Groups keep the peak RSS down: all 256 blocks of an N = 128 ZOH
-    bank at once would take two 34 MB segment tables.
+    calls.
     """
     blocks, n, ell = kernels.shape
     if scheme is Scheme.ZOH:
@@ -334,11 +365,8 @@ def _fill_bank(
         last = min(blocks, first + group)
         start = np.arange(first, last) * ell + 1
         if scheme is Scheme.ZOH:
-            horizon = start + ell
-            points = (start[:, None] + np.arange(ell + 1)) / horizon[:, None]
-            seg = segment_coefficients(op, points).reshape(n, last - first, ell + 1)
-            out = kernels[first:last].transpose(1, 0, 2)
-            np.subtract(seg[..., 1:], seg[..., :-1], out=out)
+            points = (start[:, None] + np.arange(ell + 1)) / (start + ell)[:, None]
+            segment_coefficients(op, points, out=kernels[first:last].transpose(1, 0, 2))
         else:
             steps = start[:, None] + np.arange(ell, dtype=float)
             args = steps, [row[first:last] for row in rows], kernels[first:last]
@@ -657,11 +685,11 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     fixed by the vectors u_a = Abar_{a+1} ... Abar_{length-1} e0: column 0
     is u_0 and column a is u_a - u_{a-1}.
       ZOH: u_a is `segment_coefficients` at (a+1)/length, in closed form,
-      differenced straight from its rows, `_GROUP_POINTS` columns at a
-      time: each column needs only its own two points, so the chunks keep
-      the bits of one table. The peak is the kernel plus one chunk's
-      Legendre table and segment coefficients, (2N+1)(G+1) floats with
-      G = `_GROUP_POINTS` (8.4 MB at N = 128).
+      one call that writes the differences of its streamed rows straight
+      into the kernel. The peak is the kernel plus 7 rows of length + 1
+      floats once length + 1 > 4 `_GROUP_POINTS` (1.8 MB at length 32768):
+      the ratios and 2r - 1, three Legendre rows, Bonnet's product row and
+      one psi row; no Legendre or psi table.
       Backward Euler, and forward Euler with 4(length-1) >= (N+1)^2:
       `_hahn_kernel`, in closed form from Hahn polynomials, O(N T).
       Bilinear, and forward Euler below that size: a one-block bank over
@@ -679,11 +707,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     kernel = np.empty((n, length))
     forward = scheme is Scheme.FORWARD_EULER
     if scheme is Scheme.ZOH:
-        for lo in range(0, length, _GROUP_POINTS):
-            hi = min(lo + _GROUP_POINTS, length)
-            seg = segment_coefficients(op, np.arange(lo, hi + 1) / length)
-            np.subtract(seg[:, 1:], seg[:, :-1], out=kernel[:, lo:hi])
-            del seg  # else it lives on beside the next chunk's table and output
+        segment_coefficients(op, np.arange(length + 1) / length, out=kernel)
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
         # steps 1 .. T-1; P keeps column 0, P e0, the exact first-sample absorption
         _fill_bank(op, scheme, list(kernel[:, None, :1]), kernel[None, :, 1:])

@@ -76,32 +76,54 @@ def build_operator(order: int) -> HippoOperator:
     return HippoOperator(a_matrix=_freeze(a), b_vector=_freeze(sq))
 
 
+def _legendre_rows(z: np.ndarray, count: int, rows: np.ndarray):
+    """P_0..P_{count-1} at z, a block of consecutive degrees at a time.
+
+    The one Legendre recurrence of the package, Bonnet's, run in place over
+    the R rows of `rows` (shape (R,) + z.shape, R >= min(3, count)): each
+    degree is a few numpy calls over contiguous memory whatever the point
+    count, and every element keeps the operation order
+    ((2k-1) z) P_{k-1} - (k-1) P_{k-2}, then / k. Yields (lo, hi) each time
+    rows[:hi - lo] holds P_lo .. P_{hi-1}; the next block starts from the
+    last two rows of this one, moved to rows[0:2]. With R >= count there is
+    one block, the whole table. z must lie in [-1, 1].
+    """
+    width = rows.shape[0]
+    rows[0] = 1.0
+    if count > 1:
+        rows[1] = z
+    lower = np.empty_like(z)
+    lo, first = 0, 2
+    while True:
+        hi = min(lo + width, count)
+        for k in range(first, hi):
+            row = rows[k - lo]
+            np.multiply(z, 2 * k - 1, out=row)
+            row *= rows[k - lo - 1]
+            np.multiply(rows[k - lo - 2], k - 1, out=lower)
+            row -= lower
+            row /= k
+        yield lo, hi
+        if hi == count:
+            return
+        rows[0] = rows[width - 2]  # one row at a time: no temporary when width is 3
+        rows[1] = rows[width - 1]
+        lo, first = hi - 2, hi
+
+
 def legendre_table(z: np.ndarray, count: int) -> np.ndarray:
     """P_0..P_{count-1} at each of the given points, as (count, points) rows.
 
-    Bonnet three-term recurrence, run in place over the rows, so each degree
-    is a few numpy calls over contiguous memory whatever the point count;
-    every element keeps the operation order ((2k-1) z) P_{k-1} - (k-1) P_{k-2},
-    then / k. Arguments within CLAMP_TOL of [-1, 1] are clamped; values
-    beyond it, and NaN, are rejected.
+    `_legendre_rows` over one block of `count` rows. Arguments within
+    CLAMP_TOL of [-1, 1] are clamped; values beyond it, and NaN, are rejected.
     """
     count = _as_index("count", count)
     z = np.asarray(z, dtype=float).ravel()
     if z.size and not (-1.0 - CLAMP_TOL <= z.min() and z.max() <= 1.0 + CLAMP_TOL):
         raise ValueError("Legendre argument outside [-1, 1] beyond clamp tolerance")
-    z = np.clip(z, -1.0, 1.0)
     rows = np.empty((count, z.size))
-    rows[0] = 1.0
-    if count > 1:
-        rows[1] = z
-    lower = np.empty(z.size)
-    for k in range(2, count):
-        row = rows[k]
-        np.multiply(z, 2 * k - 1, out=row)
-        row *= rows[k - 1]
-        np.multiply(rows[k - 2], k - 1, out=lower)
-        row -= lower
-        row /= k
+    for _ in _legendre_rows(np.clip(z, -1.0, 1.0), count, rows):
+        pass
     return rows
 
 

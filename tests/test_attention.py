@@ -301,7 +301,7 @@ def test_no_memory_rows_is_plain_attention_to_the_bit(mem_length, block_index):
     assert res.memory_keys.shape == (0, cfg.model_dim)
 
 
-def test_memory_rows_are_out_of_place_attention_to_the_bit():
+def test_memory_rows_are_out_of_place_attention_to_the_bit(dense_transition):
     # forward_block scales, masks and normalises its scores in place; every
     # value must keep the bits of the same arithmetic on fresh arrays.
     # sqrt(12) is not a power of two, so a scaling by its reciprocal would show
@@ -335,7 +335,7 @@ def test_memory_rows_are_out_of_place_attention_to_the_bit():
         np.testing.assert_array_equal(res.memory_keys, k_mem)
         for state, inputs, got in ((key_state, hidden @ weights.w_key, res.key_state),
                                    (value_state, hidden @ weights.w_value, res.value_state)):
-            want = (kernel.transitions[block_index - 1] @ state.coefficients
+            want = (dense_transition(kernel, block_index - 1) @ state.coefficients
                     + kernel.kernels[block_index - 1] @ inputs)
             np.testing.assert_array_equal(got.coefficients, want)
         key_state, value_state = res.key_state, res.value_state

@@ -39,12 +39,12 @@ def brute_force_block(op, first: int, last: int, scheme: Scheme):
     return prod, kernel
 
 
-def test_block_length_one_degenerates_to_steps():
+def test_block_length_one_degenerates_to_steps(dense_transition):
     op = build_operator(5)
     bank = build_bank(op, 1, Scheme.ZOH, 4)
     for i in range(1, 5):
         step = discretize_step(op, i, Scheme.ZOH)
-        np.testing.assert_allclose(bank.transitions[i - 1], step.a_bar, atol=1e-12)
+        np.testing.assert_allclose(dense_transition(bank, i - 1), step.a_bar, atol=1e-12)
         np.testing.assert_allclose(bank.kernels[i - 1][:, 0], step.b_bar, atol=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_second_block_diagonal_telescopes():
 
 @pytest.mark.parametrize("scheme", [Scheme.ZOH, Scheme.BILINEAR, Scheme.BACKWARD_EULER,
                                     Scheme.FORWARD_EULER])
-def test_bank_matches_brute_force(scheme):
+def test_bank_matches_brute_force(scheme, dense_transition):
     ell = 5
     for order in (6, 32):
         op = build_operator(order)
@@ -79,12 +79,12 @@ def test_bank_matches_brute_force(scheme):
             # N = 32 is held to 1e-12 relative to max(1, |P|): forward Euler's
             # early steps amplify its entries far past 1
             bound = 1e-9 if order == 6 else 1e-12 * max(1.0, np.abs(prod).max())
-            assert np.abs(bank.transitions[i - 1] - prod).max() < bound
+            assert np.abs(dense_transition(bank, i - 1) - prod).max() < bound
             assert np.abs(bank.kernels[i - 1] - kernel).max() < bound
 
 
 @pytest.mark.parametrize("scheme", NON_ZOH)
-def test_bank_blocks_longer_than_a_chunk(scheme):
+def test_bank_blocks_longer_than_a_chunk(scheme, dense_transition):
     # 133 steps, past 128, and the second block starts at step 134, not at a
     # power of two; at N = 6 the bilinear zero steps k = 1, 2, 3 all fall in
     # block 1
@@ -93,23 +93,23 @@ def test_bank_blocks_longer_than_a_chunk(scheme):
     bank = build_bank(op, ell, scheme, 2)
     for i in (1, 2):
         prod, kernel = brute_force_block(op, (i - 1) * ell + 1, i * ell, scheme)
-        assert np.abs(bank.transitions[i - 1] - prod).max() < 1e-12
+        assert np.abs(dense_transition(bank, i - 1) - prod).max() < 1e-12
         assert np.abs(bank.kernels[i - 1] - kernel).max() < 1e-12
 
 
 @pytest.mark.parametrize("order, ell, blocks", [(128, 64, 70), (32, 1, 300), (1, 1, 6)])
-def test_zoh_bank_equals_per_block_power_and_segments(order, ell, blocks):
+def test_zoh_bank_equals_per_block_power_and_segments(order, ell, blocks, dense_transition):
     # the P_i come from one call and the K_i a group at a time; each block must
     # equal its own one-block build, bit for bit
     group = _GROUP_POINTS // max(order + 2, ell + 1)
     assert blocks % group  # the last group is partial
     op = build_operator(order)
     bank = build_bank(op, ell, Scheme.ZOH, blocks)
-    transitions = bank.transitions
     for i in range(blocks):
         start, horizon = i * ell + 1, (i + 1) * ell + 1
         seg = segment_coefficients(op, np.arange(start, horizon + 1) / horizon)
-        np.testing.assert_array_equal(transitions[i], transition_power(op, start / horizon))
+        np.testing.assert_array_equal(dense_transition(bank, i),
+                                      transition_power(op, start / horizon))
         np.testing.assert_array_equal(bank.kernels[i], seg[:, 1:] - seg[:, :-1])
     assert bank.panels.strides == np.empty((blocks, _panel_width(order))).strides
     assert bank.kernels.strides == np.empty((blocks, order, ell)).strides
@@ -218,16 +218,16 @@ def test_scan_bank_against_longdouble_step_products(scheme, order, ell, blocks):
     assert np.abs(bank.kernels - kernels).max() <= bound
 
 
-def test_zoh_bank_makes_one_legendre_table_per_group(monkeypatch):
-    # the segment ends' table; the transitions' recurrence needs none
+def test_zoh_bank_runs_one_legendre_recurrence_per_group(monkeypatch):
+    # over the segment ends, degrees 0 .. N; the transitions' recurrence needs none
     calls = []
-    real = discretization.legendre_table
-    monkeypatch.setattr(discretization, "legendre_table",
-                        lambda z, count: calls.append(count) or real(z, count))
+    real = discretization._legendre_rows
+    monkeypatch.setattr(discretization, "_legendre_rows", lambda z, count, rows:
+                        calls.append((z.shape, count)) or real(z, count, rows))
     op = build_operator(32)
     assert _GROUP_POINTS // 65 == 63  # so 70 blocks of L = 64 take 2 groups
     build_bank(op, 64, Scheme.ZOH, 70)
-    assert calls == [33, 33]
+    assert calls == [((63, 65), 33), ((7, 65), 33)]
 
 
 @pytest.mark.parametrize("order", [4, 32, 128])

@@ -14,6 +14,7 @@ from hippomem import (
     InstabilityError,
     MemoryState,
     Scheme,
+    build_bank,
     build_operator,
     discretize_step,
     history_kernel,
@@ -21,12 +22,14 @@ from hippomem import (
     zero_state,
 )
 from hippomem.discretization import (
+    _GROUP_POINTS,
     DiscreteStep,
     _check_finite,
     discretize_interval,
     segment_coefficients,
     transition_power,
 )
+from hippomem.operators import legendre_table
 
 
 def test_scheme_parsing():
@@ -638,10 +641,68 @@ def test_backward_history_kernel_against_mpmath(order, length):
     assert np.abs(kernel - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def table_segments(order: int, ratios: np.ndarray) -> np.ndarray:
+    """psi as (N, ratios.size) rows by the table route: one `legendre_table`
+    of degrees 0 .. N at 2r - 1, then differences of its rows."""
+    table = legendre_table(2.0 * ratios - 1.0, order + 1)
+    psi = np.empty((order, ratios.size))
+    psi[0] = ratios
+    np.subtract(table[2:], table[:-2], out=psi[1:])
+    psi[1:] /= (2.0 * np.sqrt(2.0 * np.arange(1, order) + 1.0))[:, None]
+    return psi
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 32, 128])
+@pytest.mark.parametrize("length", [1, 2, 3, 4096, 4097, 8192])
+def test_streamed_zoh_kernel_has_the_bits_of_a_legendre_table(order, length):
+    # segment_coefficients streams its Legendre rows in blocks of degrees,
+    # one row per degree at these lengths; every value must be the table's
+    op = build_operator(order)
+    ratios = np.arange(length + 1) / length
+    psi = table_segments(order, ratios)
+    np.testing.assert_array_equal(segment_coefficients(op, ratios), psi)
+    np.testing.assert_array_equal(history_kernel(op, length, Scheme.ZOH), psi[:, 1:] - psi[:, :-1])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 32, 128])
+def test_streamed_segment_coefficients_and_steps_have_the_bits_of_a_legendre_table(order):
+    op = build_operator(order)
+    ratios = np.r_[0.0, 1.0, np.random.default_rng(order).random(995), 1.0, 0.0]
+    psi = table_segments(order, ratios)
+    np.testing.assert_array_equal(segment_coefficients(op, ratios), psi)
+    # `out` takes the differences along the last axis of a 2-D ratio array
+    pairs = ratios.reshape(-1, 3)
+    out = np.empty((order, pairs.shape[0], 2))
+    assert segment_coefficients(op, pairs, out=out) is out
+    by_pair = psi.reshape(order, -1, 3)
+    np.testing.assert_array_equal(out, by_pair[..., 1:] - by_pair[..., :-1])
+    # a ZOH step is Bbar = psi(1) - psi(r), ratio 0 (the t -> 0 limit) included
+    for t_start, t_end in [(0.0, 1.0), (0.0, 7.0), (2.0, 3.0), (999.0, 1000.0)]:
+        ends = table_segments(order, np.array([t_start / t_end, 1.0]))
+        step = discretize_interval(op, t_start, t_end, Scheme.ZOH)
+        np.testing.assert_array_equal(step.b_bar, ends[:, 1] - ends[:, 0])
+    with pytest.raises(ValueError, match="out must have shape"):
+        segment_coefficients(op, pairs, out=np.empty((order, pairs.shape[0], 3)))
+
+
+@pytest.mark.parametrize("order, ell, blocks", [(1, 1, 3000), (2, 1, 2100), (32, 64, 70),
+                                                (128, 64, 70), (3, 5000, 3)])
+def test_streamed_zoh_bank_has_the_bits_of_a_legendre_table(order, ell, blocks):
+    # each bank spans 2 or 3 groups of blocks; at L = 5000 a group is one block
+    group = max(1, _GROUP_POINTS // max(order + 2, ell + 1))
+    assert blocks > group
+    op = build_operator(order)
+    bank = build_bank(op, ell, Scheme.ZOH, blocks)
+    for i in range(blocks):
+        start, horizon = i * ell + 1, (i + 1) * ell + 1
+        psi = table_segments(order, np.arange(start, horizon + 1) / horizon)
+        np.testing.assert_array_equal(bank.kernels[i], psi[:, 1:] - psi[:, :-1])
+
+
 @pytest.mark.parametrize("length", [4096, 4097, 10007])
 def test_zoh_kernel_chunks_keep_the_bits_of_one_segment_table(length):
-    # history_kernel fills ZOH columns 4096 at a time; each column is the
-    # difference of its own two segment ends
+    # history_kernel writes the ZOH differences through `out`; each column is
+    # the difference of its own two segment ends, as in the returned psi
     op = build_operator(32)
     seg = segment_coefficients(op, np.arange(length + 1) / length)
     np.testing.assert_array_equal(history_kernel(op, length, Scheme.ZOH), seg[:, 1:] - seg[:, :-1])

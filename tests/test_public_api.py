@@ -82,17 +82,28 @@ QUANTITIES = {"legendre_table", "segment_coefficients", "transition_power"}
 
 
 @pytest.mark.parametrize("entry, reaches", [
-    (lambda op: build_bank(op, 16, Scheme.ZOH, 3), QUANTITIES),
+    (lambda op: build_bank(op, 16, Scheme.ZOH, 3), {"segment_coefficients", "transition_power"}),
     (lambda op: history_kernel(op, 40, Scheme.ZOH),
-     {"legendre_table", "segment_coefficients"}),  # a kernel needs no r**A
-    (lambda op: discretize_interval(op, 2.0, 3.0, Scheme.ZOH), QUANTITIES),
+     {"segment_coefficients"}),  # a kernel needs no r**A
+    (lambda op: discretize_interval(op, 2.0, 3.0, Scheme.ZOH),
+     {"segment_coefficients", "transition_power"}),
 ], ids=["build_bank", "history_kernel", "discretize_interval"])
 def test_zoh_paths_reach_the_traced_quantities(monkeypatch, entry, reaches):
     # the tracer wraps a function by rebinding every hippomem module attribute
-    # bound to it, so work done outside those functions reads 0 in a trace
-    calls = Counter()
+    # bound to it, so work done outside those functions reads 0 in a trace.
+    # Legendre rows come from the one recurrence `operators._legendre_rows`,
+    # which is not traced itself: each of its runs must start inside a traced
+    # `legendre_table` or `segment_coefficients` call.
+    calls, runs, active = Counter(), [], Counter()
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and key.split(".")[0] == "hippomem"]
+
+    def rebind(fn, wrapper):
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, attr, wrapper)
+
     for module, func in traced_functions():
         if func not in QUANTITIES:
             continue
@@ -100,11 +111,21 @@ def test_zoh_paths_reach_the_traced_quantities(monkeypatch, entry, reaches):
 
         def wrapper(*args, fn=fn, func=func, **kwargs):
             calls[func] += 1
-            return fn(*args, **kwargs)
+            active[func] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[func] -= 1
 
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is fn:
-                    monkeypatch.setattr(m, attr, wrapper)
+        rebind(fn, wrapper)
+    recurrence = importlib.import_module("hippomem.operators")._legendre_rows
+
+    def recurrence_run(*args, **kwargs):
+        # a generator: this line runs when the recurrence starts, not when it is made
+        runs.append({func for func, depth in active.items() if depth})
+        yield from recurrence(*args, **kwargs)
+
+    rebind(recurrence, recurrence_run)
     entry(build_operator(8))
     assert reaches <= set(calls)
+    assert runs and all(run & {"legendre_table", "segment_coefficients"} for run in runs), runs
