@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -56,28 +57,33 @@ def _summary(payload: dict) -> None:
     print("SUMMARY " + json.dumps(payload))
 
 
-def _read_columns(path: str) -> np.ndarray:
-    """Numeric text file: whitespace/comma delimited columns, '#' comments."""
-    rows: list[list[float]] = []
+def _text_lines(path: str, label: str = "") -> Iterator[tuple[int, str]]:
+    """(lineno, body) per line of a text file that holds more than a '#' comment."""
     try:
         # utf-8-sig: a leading byte-order mark is not part of the first value
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                parts = body.replace(",", " ").split()
-                try:
-                    # separators alone hold no value; float() rejects the body whole
-                    row = [float(p) for p in parts or [body]]
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: not numeric: {body!r}") from exc
-                # float() accepts nan and inf, which would compress to a NaN MSE
-                if not all(map(math.isfinite, row)):
-                    raise UsageError(f"{path}:{lineno}: not finite: {body!r}")
-                rows.append(row)
+                if body:
+                    yield lineno, body
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise UsageError(f"cannot read {label}{path}: {exc}") from exc
+
+
+def _read_columns(path: str) -> np.ndarray:
+    """Numeric text file: whitespace/comma delimited columns, '#' comments."""
+    rows: list[list[float]] = []
+    for lineno, body in _text_lines(path):
+        try:
+            # a comma field with no value (1,,2 or 1,2, or a row of commas)
+            # reaches float() as "", which rejects it
+            row = [float(p) for field in body.split(",") for p in field.split() or [""]]
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: not numeric: {body!r}") from exc
+        # float() accepts nan and inf, which would compress to a NaN MSE
+        if not all(map(math.isfinite, row)):
+            raise UsageError(f"{path}:{lineno}: not finite: {body!r}")
+        rows.append(row)
     if not rows:
         raise UsageError(f"{path}: no numeric rows")
     width = len(rows[0])
@@ -366,18 +372,11 @@ _CONFIG_KEYS = _OPTIONS.keys() - {"out"}
 def _load_config(path: str) -> dict[str, str]:
     """key = value lines as subparser defaults; dashes in keys become underscores."""
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {body!r}")
-                key, value = body.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    for lineno, body in _text_lines(path, "config "):
+        if "=" not in body:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {body!r}")
+        key, value = body.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     for key, value in values.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")

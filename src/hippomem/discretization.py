@@ -36,19 +36,19 @@ a row follows from a scalar recurrence over the steps whose suffix
 products are again ratios of factorial-like products, so each row is one
 cumulative sum. Backward Euler and bilinear banks solve the same rows over
 each block's own steps from every start column, with no step matrices
-either; ZOH banks take one matrix power per block. Shorter forward Euler
-histories and forward Euler banks, whose early steps amplify the
+either; ZOH banks take one matrix power per block. Forward Euler banks and
+the shorter forward Euler histories, whose early steps amplify the
 high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), multiply step
-matrices instead (`_fold_steps`). A kernel that walks its steps is a
-one-block bank, so `_fill_bank` alone picks the fold or the row solve and
-numbers a block's steps.
+matrices instead, in one `_fold_steps` call. A kernel that walks its steps
+is a one-block bank, so `_fill_bank` alone picks the fold or the row solve,
+numbers a block's steps and groups blocks where an array grows with them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -192,51 +192,42 @@ def transition_power(
     return out if power is None else power
 
 
-def segment_coefficients(
-    op: HippoOperator, ratios: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Projection coefficients of the indicator of [0, r] at unit horizon.
+def segment_coefficients(op: HippoOperator, ratios: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Projection coefficients, at unit horizon, of the segments between consecutive ratios.
 
-    Column j holds (r**A @ e0) for r = ratios[j], as (N, ratios.size) rows
-    in closed form: psi_0(r) = r and
+    For ratios of shape (..., P), `out` has shape (N,) + ratios.shape[:-1]
+    + (P - 1,) and takes out[n] = psi_n[..., 1:] - psi_n[..., :-1], and is
+    returned. psi(r) = r**A @ e0 holds the coefficients of the indicator of
+    [0, r], in closed form: psi_0(r) = r and
     psi_n(r) = (P_{n+1}(2r-1) - P_{n-1}(2r-1)) / (2 sqrt(2n+1)).
-    Consecutive differences of these columns are the zero-order-hold kernel
-    columns, which is what makes whole-history compression a single matmul.
-    `out`, of shape (N,) + ratios.shape[:-1] + (P - 1,) for ratios of shape
-    (..., P), takes those differences along the last axis instead,
-    out[n] = psi_n[..., 1:] - psi_n[..., :-1], and is returned; every ZOH
-    kernel, bank and step is written so. The Legendre rows stream from one
+    These differences are the zero-order-hold kernel columns, which is what
+    makes whole-history compression a single matmul; every ZOH kernel, bank
+    and step is written so, and psi(r) itself is the pair [0, r], as psi(0)
+    is exactly 0. The Legendre rows stream from one
     `operators._legendre_rows` run, a block of degrees at a time (at most
     4 `_GROUP_POINTS` floats of new rows, one degree at least), and each
     psi_n row is formed once with the bits of a whole-table difference: no
-    Legendre table is made, and with `out` no psi table either.
+    Legendre or psi table is made.
     """
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
         raise ValueError("ratios must lie in [0, 1]")
     n = op.order
-    differences = out is not None
-    if differences:
-        shape = (n,) + ratios.shape[:-1] + (ratios.shape[-1] - 1,)
-        if out.shape != shape:
-            raise ValueError(f"out must have shape {shape}, got {out.shape}")
-        np.subtract(ratios[..., 1:], ratios[..., :-1], out=out[0])
-    else:
-        ratios = ratios.ravel()
-        out = np.empty((n, ratios.size))
-        out[0] = ratios
+    shape = (n,) + ratios.shape[:-1] + (ratios.shape[-1] - 1,)
+    if out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    np.subtract(ratios[..., 1:], ratios[..., :-1], out=out[0])
     depth = min(n - 1, max(1, 4 * _GROUP_POINTS // max(1, ratios.size)))
     rows = np.empty((depth + 2,) + ratios.shape)
-    psi = np.empty((depth,) + ratios.shape) if differences else None
+    psi = np.empty((depth,) + ratios.shape)
     scale = (2.0 * np.sqrt(2.0 * np.arange(n) + 1.0)).reshape((n,) + (1,) * ratios.ndim)
     for lo, hi in _legendre_rows(2.0 * ratios - 1.0, n + 1, rows):
         # psi_m for m = lo+1 .. hi-2, from P_{m-1} in rows[m-lo-1] and P_{m+1} in rows[m-lo+1]
         first, last = lo + 1, hi - 1
-        block = psi[:last - first] if differences else out[first:last]
+        block = psi[:last - first]
         np.subtract(rows[2:hi - lo], rows[:hi - lo - 2], out=block)
         block /= scale[first:last]
-        if differences:
-            np.subtract(block[..., 1:], block[..., :-1], out=out[first:last])
+        np.subtract(block[..., 1:], block[..., :-1], out=out[first:last])
     return out
 
 
@@ -279,7 +270,7 @@ def discretize_interval(
             ratio = t_start / t_end
             a_bar = transition_power(op, ratio)
             b_bar = np.empty(n)
-            segment_coefficients(op, np.array([ratio, 1.0]), out=b_bar[:, None])
+            segment_coefficients(op, np.array([ratio, 1.0]), b_bar[:, None])
         elif scheme is Scheme.FORWARD_EULER:
             a_bar = eye - (delta / t_start) * a
             b_bar = (delta / t_start) * b
@@ -320,10 +311,12 @@ def sequential_update(
 
 # Points per block group in `_fill_bank` and per row chunk of the CLI's
 # full-grid basis in `compress`; a row-solve array or basis chunk holds
-# GROUP x N floats at most (4 MB at N = 128), and a larger group adds to
-# peak RSS and saves only per-row call overhead. ZOH kernels take no column
-# chunks: `segment_coefficients` streams their Legendre rows, 4 GROUP
-# floats of rows per block of degrees.
+# GROUP x N floats at most (4 MB at N = 128). Only ZOH segment ends and the
+# row solve grow with a group (N = 8, L = 64, 1024 blocks: 0.64 MB over a
+# 4.72 MB ZOH bank and 1.29 MB over backward Euler's in groups of 63 blocks,
+# 3.94 and 17.6 MB in one), so the forward Euler fold takes none. ZOH
+# kernels take no column chunks: `segment_coefficients` streams their
+# Legendre rows, 4 GROUP floats of rows per block of degrees.
 _GROUP_POINTS = 4096
 
 
@@ -343,59 +336,58 @@ def _fill_bank(
 
     For ZOH the products telescope into one matrix power per block and
     consecutive differences of `segment_coefficients`. One `transition_power`
-    call forms every P_i in place; its work arrays hold four rows of N + 1
-    floats per block, so they need no groups. The rest goes in groups of consecutive
-    blocks of about `_GROUP_POINTS` points, L + 1 segment ends or steps per
-    block or N + 2 if more, which bounds each group array by about
-    GROUP x min(N, L) floats. A ZOH group takes one `segment_coefficients`
-    call over its (blocks, L + 1) segment ends, which writes the group's
-    kernels through `out` (one Legendre recurrence, no segment table); the
-    other schemes' groups one `_fold_steps` (forward Euler) or
-    `_scan_kernel` call (backward Euler and bilinear: one cumulative sum per
-    state row, with segments cut from the group's first step only). Each
-    group fills its slice of the caller's arrays with the bits of one-block
-    calls.
+    call forms every P_i in place, in work arrays of four rows of N + 1
+    floats per block; one `_fold_steps` call folds a forward Euler bank, a
+    block's steps at a time, holding one N x N product. ZOH kernels and the
+    row solve go in groups of consecutive blocks of about `_GROUP_POINTS`
+    points, L + 1 segment ends or steps per block or N + 2 if more, which
+    bounds each of their arrays by about GROUP x min(N, L) floats. A ZOH
+    group takes one `segment_coefficients` call over its (blocks, L + 1)
+    segment ends, which writes the group's kernels (one Legendre recurrence,
+    no segment table); a backward Euler or bilinear group one
+    `_scan_kernel` call (one cumulative sum per state row, with segments
+    cut from the group's first step only). Each group fills its slice of
+    the caller's arrays with the bits of one-block calls.
     """
     blocks, n, ell = kernels.shape
+    start = np.arange(blocks) * ell + 1
+    if scheme is Scheme.FORWARD_EULER:
+        _fold_steps(op, (k + np.arange(ell, dtype=float) for k in start), rows, kernels)
+        return
     if scheme is Scheme.ZOH:
-        start = np.arange(blocks) * ell + 1
         transition_power(op, start / (start + ell), out=rows)
     group = max(1, _GROUP_POINTS // max(n + 2, ell + 1))
     for first in range(0, blocks, group):
-        last = min(blocks, first + group)
-        start = np.arange(first, last) * ell + 1
+        part = slice(first, first + group)
+        begin = start[part]
         if scheme is Scheme.ZOH:
-            points = (start[:, None] + np.arange(ell + 1)) / (start + ell)[:, None]
-            segment_coefficients(op, points, out=kernels[first:last].transpose(1, 0, 2))
+            points = (begin[:, None] + np.arange(ell + 1)) / (begin + ell)[:, None]
+            segment_coefficients(op, points, kernels[part].transpose(1, 0, 2))
         else:
-            steps = start[:, None] + np.arange(ell, dtype=float)
-            args = steps, [row[first:last] for row in rows], kernels[first:last]
-            if scheme is Scheme.FORWARD_EULER:
-                _fold_steps(op, *args)
-            else:
-                _scan_kernel(op, scheme, *args)
+            steps = begin[:, None] + np.arange(ell, dtype=float)
+            _scan_kernel(op, scheme, steps, [row[part] for row in rows], kernels[part])
 
 
 def _fold_steps(
-    op: HippoOperator, steps: np.ndarray, rows: list[np.ndarray], kernels: np.ndarray
+    op: HippoOperator, steps: Iterable[np.ndarray], rows: list[np.ndarray], kernels: np.ndarray
 ) -> None:
     """Fill forward Euler (P_i, K_i) by multiplying step matrices.
 
-    The arguments are those of `_scan_kernel`, from `_fill_bank` only:
-    steps is (blocks, L), kernels (blocks, N, L) and rows[n] (blocks, W),
-    columns 0 .. W-1 of row n of each P_i. Each block walks its
-    steps from the last down: column j of K_i is the suffix product times
-    the step's input vector h B, and the suffix product then takes the step
-    matrix I - h A, with h = 1/k (as in `discretize_interval`). One step
-    matrix is formed at a time, in one buffer, because a stack of them would
-    add directly to peak RSS (8 MB for 64 steps at N = 128). This fold is
-    O(N^3) per step. Forward Euler stays on it: its early steps amplify the
-    high-order rows (|1 - (n+1)/k| > 1 for k < (n+1)/2), which makes the
-    row solve of `_scan_kernel` unstable.
+    The arguments are those of `_scan_kernel`, from `_fill_bank` only, but
+    steps yields each block's L steps in turn: kernels is (blocks, N, L) and
+    rows[n] (blocks, W), columns 0 .. W-1 of row n of each P_i. Each block
+    walks its steps from the last down: column j of K_i is the suffix
+    product times the step's input vector h B, and the suffix product then
+    takes the step matrix I - h A, with h = 1/k (as in
+    `discretize_interval`). One step matrix is formed at a time, in one
+    buffer, because a stack of them would add directly to peak RSS (8 MB for
+    64 steps at N = 128). This fold is O(N^3) per step. Forward Euler stays
+    on it: its early steps amplify the high-order rows (|1 - (n+1)/k| > 1
+    for k < (n+1)/2), which makes the row solve of `_scan_kernel` unstable.
     """
     eye = np.eye(op.order)
     a_bar = np.empty_like(eye)
-    for block, h in enumerate(1.0 / steps):
+    for block, h in enumerate(1.0 / k for k in steps):
         b_bars = h[:, None] * op.b_vector
         prod = eye
         for j in range(h.size - 1, -1, -1):
@@ -707,7 +699,7 @@ def history_kernel(op: HippoOperator, length: int, scheme: Scheme) -> np.ndarray
     kernel = np.empty((n, length))
     forward = scheme is Scheme.FORWARD_EULER
     if scheme is Scheme.ZOH:
-        segment_coefficients(op, np.arange(length + 1) / length, out=kernel)
+        segment_coefficients(op, np.arange(length + 1) / length, kernel)
     elif scheme is Scheme.BILINEAR or (forward and 4 * (length - 1) < (n + 1) ** 2):
         # steps 1 .. T-1; P keeps column 0, P e0, the exact first-sample absorption
         _fill_bank(op, scheme, list(kernel[:, None, :1]), kernel[None, :, 1:])

@@ -145,15 +145,45 @@ def test_compress_rejects_empty_and_malformed(tmp_path, capsys):
     (",\n,\n,\n", 1),
     ("1.0\n,\n2.0\n", 2),
     (" , ,\n1.0\n2.0\n", 1),
+    ("1,,2\n3,,4\n5,,6\n", 1),
+    ("1,2\n3,4,\n5,6\n", 2),
+    ("1\n2\n,1\n", 3),
 ])
 def test_compress_rejects_rows_of_separators_only(tmp_path, capsys, text, lineno):
     # such a row holds no value: read as an empty row, a file of them
-    # compressed as zero channels to a NaN MSE that read as a pass
+    # compressed as zero channels to a NaN MSE that read as a pass. So does
+    # an empty comma field: dropped, 1,,2 read as 2 channels and passed.
     sig = tmp_path / "sig.txt"
     sig.write_text(text)
     code, out, err = run_cli(["compress", str(sig)], capsys)
     assert code == 2 and out == ""
     assert f"{sig}:{lineno}: not numeric: " in err, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compress", "{d}/one.txt"], "{d}/one.txt: need at least 2 rows, got 1"),
+    (["compress", "{d}/sig.txt", "--mem-length", "0"], "--mem-length must be >= 1, got 0"),
+    (["bench-table", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["attn-demo", "--blocks", "0", "--cache-dir", "{d}"], "--blocks must be >= 1, got 0"),
+    (["--config", "{d}/bad.cfg", "bench-table"],
+     "{d}/bad.cfg:2: expected key=value, got 'seeds 1'"),
+    (["--config", "{d}/none.cfg", "bench-table"], "cannot read config {d}/none.cfg: {missing}"),
+    (["compress", "{d}/none.txt"], "cannot read {d}/none.txt: {missing}"),
+], ids=["one-row", "mem-length-0", "seeds-0", "blocks-0", "config-without-equals",
+        "config-missing", "input-missing"])
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    (tmp_path / "one.txt").write_text("0.5\n")
+    (tmp_path / "sig.txt").write_text("0.5\n1.0\n0.25\n")
+    (tmp_path / "bad.cfg").write_text("# comment\nseeds 1\n")
+    argv = [a.format(d=tmp_path) for a in argv]
+    missing = None
+    if "{missing}" in message:  # the OSError's own text, as the platform words it
+        with pytest.raises(OSError) as exc:
+            open(argv[1])
+        missing = exc.value
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(d=tmp_path, missing=missing)}\n"
 
 
 def test_compress_accepts_a_byte_order_mark(tmp_path, capsys):

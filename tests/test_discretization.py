@@ -269,7 +269,8 @@ def test_segment_coefficients_against_quadrature():
     op = build_operator(6)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     for r in (0.2, 0.7, 1.0):
-        psi = segment_coefficients(op, np.array([r]))[:, 0]
+        # psi(r) is the segment [0, r]: psi(0) is exactly 0
+        psi = segment_coefficients(op, np.array([0.0, r]), np.empty((6, 1)))[:, 0]
         xs = r * (nodes + 1.0) / 2.0
         from hippomem import basis_matrix
         vals = basis_matrix(xs, 1.0, 6)
@@ -652,6 +653,12 @@ def table_segments(order: int, ratios: np.ndarray) -> np.ndarray:
     return psi
 
 
+def segments_from_zero(op, ratios: np.ndarray) -> np.ndarray:
+    """psi as (N, ratios.size) rows through `out`: the segments [0, r], one per ratio."""
+    pairs = np.stack([np.zeros_like(ratios), ratios], axis=-1)
+    return segment_coefficients(op, pairs, np.empty((op.order, ratios.size, 1)))[..., 0]
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 32, 128])
 @pytest.mark.parametrize("length", [1, 2, 3, 4096, 4097, 8192])
 def test_streamed_zoh_kernel_has_the_bits_of_a_legendre_table(order, length):
@@ -660,7 +667,7 @@ def test_streamed_zoh_kernel_has_the_bits_of_a_legendre_table(order, length):
     op = build_operator(order)
     ratios = np.arange(length + 1) / length
     psi = table_segments(order, ratios)
-    np.testing.assert_array_equal(segment_coefficients(op, ratios), psi)
+    np.testing.assert_array_equal(segments_from_zero(op, ratios), psi)
     np.testing.assert_array_equal(history_kernel(op, length, Scheme.ZOH), psi[:, 1:] - psi[:, :-1])
 
 
@@ -669,11 +676,11 @@ def test_streamed_segment_coefficients_and_steps_have_the_bits_of_a_legendre_tab
     op = build_operator(order)
     ratios = np.r_[0.0, 1.0, np.random.default_rng(order).random(995), 1.0, 0.0]
     psi = table_segments(order, ratios)
-    np.testing.assert_array_equal(segment_coefficients(op, ratios), psi)
+    np.testing.assert_array_equal(segments_from_zero(op, ratios), psi)
     # `out` takes the differences along the last axis of a 2-D ratio array
     pairs = ratios.reshape(-1, 3)
     out = np.empty((order, pairs.shape[0], 2))
-    assert segment_coefficients(op, pairs, out=out) is out
+    assert segment_coefficients(op, pairs, out) is out
     by_pair = psi.reshape(order, -1, 3)
     np.testing.assert_array_equal(out, by_pair[..., 1:] - by_pair[..., :-1])
     # a ZOH step is Bbar = psi(1) - psi(r), ratio 0 (the t -> 0 limit) included
@@ -682,7 +689,12 @@ def test_streamed_segment_coefficients_and_steps_have_the_bits_of_a_legendre_tab
         step = discretize_interval(op, t_start, t_end, Scheme.ZOH)
         np.testing.assert_array_equal(step.b_bar, ends[:, 1] - ends[:, 0])
     with pytest.raises(ValueError, match="out must have shape"):
-        segment_coefficients(op, pairs, out=np.empty((order, pairs.shape[0], 3)))
+        segment_coefficients(op, pairs, np.empty((order, pairs.shape[0], 3)))
+    with pytest.raises(TypeError):  # `out` is required: no psi table is returned
+        segment_coefficients(op, pairs)
+    for bad in (-1e-300, 1.0 + 2.0 ** -52):
+        with pytest.raises(ValueError, match=r"ratios must lie in \[0, 1\]"):
+            segment_coefficients(op, np.array([0.5, bad]), np.empty((order, 1)))
 
 
 @pytest.mark.parametrize("order, ell, blocks", [(1, 1, 3000), (2, 1, 2100), (32, 64, 70),
@@ -702,9 +714,9 @@ def test_streamed_zoh_bank_has_the_bits_of_a_legendre_table(order, ell, blocks):
 @pytest.mark.parametrize("length", [4096, 4097, 10007])
 def test_zoh_kernel_chunks_keep_the_bits_of_one_segment_table(length):
     # history_kernel writes the ZOH differences through `out`; each column is
-    # the difference of its own two segment ends, as in the returned psi
+    # the difference of its own two segment ends, as in psi from [0, r] pairs
     op = build_operator(32)
-    seg = segment_coefficients(op, np.arange(length + 1) / length)
+    seg = segments_from_zero(op, np.arange(length + 1) / length)
     np.testing.assert_array_equal(history_kernel(op, length, Scheme.ZOH), seg[:, 1:] - seg[:, :-1])
 
 
