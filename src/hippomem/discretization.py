@@ -164,7 +164,7 @@ def transition_power(
         out = list(power.reshape(-1, n, n).transpose(1, 0, 2))
     if len(out) != n or any(dest.ndim != 2 or dest.shape[0] != r.size for dest in out):
         raise ValueError(f"out must be {n} rows of shape ({r.size}, W)")
-    s = np.sqrt(2.0 * np.arange(n) + 1.0)
+    s = op.b_vector
     # work row j holds column k = j - 1 for every ratio; row 0, k = -1, stays 0
     gamma = np.r_[0.0, 0.0, np.arange(1.0, n) / (s[:-1] * s[1:])][:, None]
     # one row per ratio, as in a scalar call: pow's bits depend on its operands' layout
@@ -220,7 +220,7 @@ def segment_coefficients(op: HippoOperator, ratios: np.ndarray, out: np.ndarray)
     depth = min(n - 1, max(1, 4 * _GROUP_POINTS // max(1, ratios.size)))
     rows = np.empty((depth + 2,) + ratios.shape)
     psi = np.empty((depth,) + ratios.shape)
-    scale = (2.0 * np.sqrt(2.0 * np.arange(n) + 1.0)).reshape((n,) + (1,) * ratios.ndim)
+    scale = (2.0 * op.b_vector).reshape((n,) + (1,) * ratios.ndim)
     for lo, hi in _legendre_rows(2.0 * ratios - 1.0, n + 1, rows):
         # psi_m for m = lo+1 .. hi-2, from P_{m-1} in rows[m-lo-1] and P_{m+1} in rows[m-lo+1]
         first, last = lo + 1, hi - 1
@@ -258,9 +258,7 @@ def discretize_interval(
         raise ValueError(f"t_start must be >= 0, got {t_start}")
     if t_start == 0 and scheme in (Scheme.FORWARD_EULER, Scheme.BILINEAR):
         raise ValueError(f"{scheme.value} discretization is singular at t = 0")
-    a, b = op.a_matrix, op.b_vector
     n = op.order
-    eye = np.eye(n)
     delta = t_end - t_start
 
     # overflow is surfaced by the finiteness check below, not as a warning
@@ -272,13 +270,14 @@ def discretize_interval(
             b_bar = np.empty(n)
             segment_coefficients(op, np.array([ratio, 1.0]), b_bar[:, None])
         elif scheme is Scheme.FORWARD_EULER:
-            a_bar = eye - (delta / t_start) * a
-            b_bar = (delta / t_start) * b
+            a_bar = np.eye(n) - (delta / t_start) * op.a_matrix
+            b_bar = (delta / t_start) * op.b_vector
         else:
             # backward Euler and bilinear: (I + w h A) [Abar | Bbar] = [I - (1 - w) h A | h B]
             w, h = ((1.0, delta / t_end) if scheme is Scheme.BACKWARD_EULER
                     else (0.5, delta / t_start))
-            rhs = np.column_stack([eye - (1.0 - w) * h * a, h * b])
+            eye, a = np.eye(n), op.a_matrix
+            rhs = np.column_stack([eye - (1.0 - w) * h * a, h * op.b_vector])
             solved = np.linalg.solve(eye + w * h * a, rhs)
             a_bar, b_bar = solved[:, :n], solved[:, n]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,31 +50,35 @@ def _fold_case(cls, value: object, noun: str):
 
 @dataclass(frozen=True)
 class HippoOperator:
-    """Fixed (A, B) pair of the scaled-Legendre state system.
+    """The scaled-Legendre state system of one order, its one field.
 
-    A is lower triangular with A[n][n] = n+1 and A[n][k] = sqrt(2n+1)sqrt(2k+1)
-    below the diagonal; B[n] = sqrt(2n+1). Immutable and safe to share.
+    B[n] = sqrt(2n+1); A is lower triangular with A[n][n] = n+1 and
+    A[n][k] = sqrt(2n+1)sqrt(2k+1) below. Both are read-only, formed on first
+    use and kept: only the forward Euler fold and the Euler and bilinear step
+    matrices read A. Operators compare and hash by order; safe to share.
     """
 
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
+    order: int
 
-    @property
-    def order(self) -> int:
-        return self.a_matrix.shape[0]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", _as_index("order", self.order))
+
+    @cached_property
+    def b_vector(self) -> np.ndarray:
+        return _freeze(np.sqrt(2.0 * np.arange(self.order) + 1.0))
+
+    @cached_property
+    def a_matrix(self) -> np.ndarray:
+        # one N x N buffer: the outer product, masked to its lower triangle, then the diagonal
+        a = np.outer(self.b_vector, self.b_vector)
+        a *= np.tri(self.order, k=-1, dtype=bool)
+        np.fill_diagonal(a, np.arange(1.0, self.order + 1))
+        return _freeze(a)
 
 
 def build_operator(order: int) -> HippoOperator:
-    """Construct the operator of the given order (number of coefficients)."""
-    order = _as_index("order", order)
-    n = np.arange(order)
-    sq = np.sqrt(2.0 * n + 1.0)
-    # A in one N x N buffer: the outer product, its diagonal and upper
-    # triangle zeroed in place, then the diagonal set
-    a = np.outer(sq, sq)
-    a *= np.tri(order, k=-1, dtype=bool)
-    np.fill_diagonal(a, n + 1.0)
-    return HippoOperator(a_matrix=_freeze(a), b_vector=_freeze(sq))
+    """The operator of the given order (number of coefficients)."""
+    return HippoOperator(order)
 
 
 def _legendre_rows(z: np.ndarray, count: int, rows: np.ndarray):

@@ -1,5 +1,6 @@
 """Operator construction and basis evaluation."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -77,6 +78,22 @@ def test_operator_is_immutable():
     op = build_operator(4)
     with pytest.raises(ValueError):
         op.a_matrix[0, 0] = 5.0
+
+
+def test_operators_compare_and_hash_by_order():
+    four = build_operator(4)
+    four.a_matrix  # formed on one side only: equality reads the order alone
+    assert four == build_operator(4)
+    assert hash(four) == hash(build_operator(4))
+    assert four != build_operator(5)
+    assert len({four, build_operator(4), build_operator(5)}) == 2
+    assert [field.name for field in dataclasses.fields(four)] == ["order"]
+    for arr in (four.a_matrix, four.b_vector):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    for name in ("a_matrix", "b_vector"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(four, name, np.zeros(4))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
@@ -223,7 +240,7 @@ def _table_seed_count(seed_count):
     # run_table keeps no count: find how many seeds its first row averages
     mse = run_table(seed_count=seed_count, length=16)[0].mse
     specs = [SignalSpec(_SINE, 1, 16, seed=derive(0, 0, rep)) for rep in range(8)]
-    mses = [run_benchmark(spec, 32, hippomem.Scheme.ZOH) for spec in specs]
+    mses = run_benchmark(specs, 32, hippomem.Scheme.ZOH)
     return next(k for k in range(1, 9) if float(np.mean(mses[:k])) == mse)
 
 

@@ -52,28 +52,38 @@ def test_spec_validation():
 def test_mse_monotone_in_component_count_per_seed():
     # shared seed nests the signals: more components only add higher bands
     for seed in range(8):
-        mses = [
-            run_benchmark(SignalSpec(SignalKind.SINE_COMPOSITE, n, 1024, seed=seed),
-                          32, Scheme.ZOH)
-            for n in (1, 3, 5)
-        ]
+        mses = run_benchmark(
+            [SignalSpec(SignalKind.SINE_COMPOSITE, n, 1024, seed=seed) for n in (1, 3, 5)],
+            32, Scheme.ZOH)
         assert mses[0] <= mses[1] <= mses[2]
 
 
 def test_noise_is_incompressible():
     for order in (32, 512):
         spec = SignalSpec(SignalKind.RANDOM_NOISE, 0, 1024, seed=17)
-        assert run_benchmark(spec, order, Scheme.ZOH) > 0.5
+        assert run_benchmark([spec], order, Scheme.ZOH)[0] > 0.5
 
 
 def test_bilinear_beats_euler_schemes_on_five_sines():
-    for seed in (0, 1):
-        spec = SignalSpec(SignalKind.SINE_COMPOSITE, 5, 1024, seed=seed)
-        bil = run_benchmark(spec, 32, Scheme.BILINEAR)
-        fwd = run_benchmark(spec, 32, Scheme.FORWARD_EULER)
-        bwd = run_benchmark(spec, 32, Scheme.BACKWARD_EULER)
+    specs = [SignalSpec(SignalKind.SINE_COMPOSITE, 5, 1024, seed=seed) for seed in (0, 1)]
+    bils = run_benchmark(specs, 32, Scheme.BILINEAR)
+    fwds = run_benchmark(specs, 32, Scheme.FORWARD_EULER)
+    bwds = run_benchmark(specs, 32, Scheme.BACKWARD_EULER)
+    for bil, fwd, bwd in zip(bils, fwds, bwds, strict=True):
         assert bil < bwd
         assert bil < fwd
+
+
+def test_run_benchmark_takes_specs_of_one_length():
+    specs = [SignalSpec(SignalKind.SINE_COMPOSITE, 1, n, seed=1) for n in (256, 512)]
+    with pytest.raises(ValueError, match="one length"):
+        run_benchmark(specs, 32, Scheme.ZOH)
+
+
+def test_each_mse_is_that_of_its_signal_alone():
+    specs = [SignalSpec(SignalKind.SINE_COMPOSITE, 3, 256, seed=seed) for seed in range(3)]
+    alone = [run_benchmark([spec], 32, Scheme.BILINEAR)[0] for spec in specs]
+    assert run_benchmark(specs, 32, Scheme.BILINEAR) == alone
 
 
 def test_signal_classes_separate_cleanly():

@@ -27,11 +27,12 @@ from hippomem import (
     forward_block,
     zero_state,
 )
-from hippomem import attention, block_kernel, cli, discretization
+from hippomem import attention, block_kernel, cli, discretization, operators
 from hippomem.attention import init_weights
 from hippomem.bank_cache import write_kernel_bank
 from hippomem.block_kernel import BlockKernelBank
-from hippomem.discretization import _GROUP_POINTS, history_kernel
+from hippomem.discretization import _GROUP_POINTS, discretize_interval, history_kernel
+from hippomem.signal_bench import run_table
 
 
 def count_calls(monkeypatch, module, *names):
@@ -328,6 +329,67 @@ class _Numpy:
 
     def __getattr__(self, name):
         return getattr(np, name)
+
+
+_UNIFORM = SamplingStrategy(SamplingKind.UNIFORM)
+# paths that read B at most: ZOH, the closed forms, the row solve and the
+# basis (which build_reconstruction_bank evaluates)
+A_FREE_PATHS = {
+    "zoh-kernel": lambda op: history_kernel(op, 300, Scheme.ZOH),
+    "backward-kernel": lambda op: history_kernel(op, 300, Scheme.BACKWARD_EULER),
+    "bilinear-kernel": lambda op: history_kernel(op, 300, Scheme.BILINEAR),
+    "zoh-bank": lambda op: build_bank(op, 8, Scheme.ZOH, 4),
+    "backward-bank": lambda op: build_bank(op, 8, Scheme.BACKWARD_EULER, 4),
+    "bilinear-bank": lambda op: build_bank(op, 8, Scheme.BILINEAR, 4),
+    "zoh-step": lambda op: discretize_interval(op, 3.0, 4.0, Scheme.ZOH),
+    "reconstruction-bank": lambda op: build_reconstruction_bank(op, _UNIFORM, 4, 8, 4),
+}
+
+
+@pytest.mark.parametrize("path", A_FREE_PATHS.values(), ids=A_FREE_PATHS)
+def test_paths_that_read_no_a_never_form_it(path):
+    op = build_operator(32)
+    path(op)
+    assert "a_matrix" not in vars(op)
+
+
+# forward Euler's fold below the Hahn line (4 * 199 < 33^2) and the Euler and
+# bilinear step matrices
+A_PATHS = {
+    "forward-kernel": lambda op: history_kernel(op, 200, Scheme.FORWARD_EULER),
+    **{f"{scheme.value}-step": lambda op, scheme=scheme: discretize_interval(op, 3.0, 4.0, scheme)
+       for scheme in (Scheme.FORWARD_EULER, Scheme.BACKWARD_EULER, Scheme.BILINEAR)},
+}
+
+
+@pytest.mark.parametrize("path", A_PATHS.values(), ids=A_PATHS)
+def test_paths_that_read_a_form_it_once(monkeypatch, path):
+    fake = _Numpy()
+    monkeypatch.setattr(operators, "np", fake)
+    calls = count_calls(monkeypatch, fake, "outer")
+    op = build_operator(32)
+    path(op)
+    path(op)
+    assert "a_matrix" in vars(op)
+    assert calls == Counter(outer=1)
+
+
+def test_bench_table_holds_one_matrix_at_a_time():
+    # each row folds every seed's signal with one kernel, drops it, then forms
+    # one probe (the basis table and its transposed copy, 2 x 2 MiB at N = T =
+    # 512): measured 4.02 MiB, and nothing held after return. Caches of every
+    # row's kernel and probe peaked at 7.65 MiB and held 5.64 MiB.
+    run_table(seed_count=1, length=64)  # numpy's first-call set-up is not the table's
+    matrix = 512 * 512 * 8
+    tracemalloc.start()
+    try:
+        rows = run_table(seed_count=2, length=512)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 9
+    assert peak <= 2.25 * matrix, (peak, matrix)
+    assert held < 0.1e6, held
 
 
 def _offset(view, base):
